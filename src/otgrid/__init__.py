@@ -24,7 +24,6 @@ from .grids import (
     parallel_difference,
     parallel_neighbors,
     save_weights,
-    upsample_weights,
 )
 from .lbfgs import LbfgsOptions, MinimizeResult, minimize
 from .objective import (
@@ -75,7 +74,6 @@ __all__ = [
     "save_sequence",
     "save_weights",
     "sinkhorn_scalings",
-    "upsample_weights",
     "write_tensor",
 ]
 

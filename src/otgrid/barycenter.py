@@ -11,8 +11,9 @@ stop, so the computation graph is static and differentiable):
 
 Displacement interpolation between two histograms is the R=2 case with
 weights (1-t, t).  The backward pass replays the recorded sweeps in
-reverse, combining the adjoint of each pointwise operation with the two
-kernel adjoints (input and weights) of every kernel application.
+reverse, combining the adjoint of each pointwise operation with one
+vector-Jacobian product per kernel application, which yields the input
+and the weight gradient from a single chain of S solves.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _check_histograms(a):
 class BarycenterTape:
     """Everything the backward pass needs, recorded per sweep.
 
-    Arrays are indexed [sweep, input, vertex]; ``ktapes_v`` / ``ktapes_u``
-    hold the kernel tapes of the K v_r and K u_r applications.
+    Arrays are indexed [sweep, input, vertex]; ``states_v`` / ``states_u``
+    are indexed [sweep, input, substep, vertex] and hold the recorded solve
+    states of the K v_r and K u_r applications.
     """
 
     op: DiffusionOperator
@@ -66,8 +68,8 @@ class BarycenterTape:
     kv: np.ndarray
     ku: np.ndarray
     b: np.ndarray
-    ktapes_v: list
-    ktapes_u: list
+    states_v: np.ndarray
+    states_u: np.ndarray
     clamps: int
 
 
@@ -102,8 +104,8 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
             kv=np.empty((iters, r_count, n)),
             ku=np.empty((iters, r_count, n)),
             b=np.empty((iters, n)),
-            ktapes_v=[[None] * r_count for _ in range(iters)],
-            ktapes_u=[[None] * r_count for _ in range(iters)],
+            states_v=np.empty((iters, r_count, op.substeps, n)),
+            states_u=np.empty((iters, r_count, op.substeps, n)),
             clamps=0,
         )
     u = np.empty((r_count, n))
@@ -111,15 +113,15 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     b = None
     for l in range(iters):
         for r in range(r_count):
-            kv_r, kt = op.apply(v[r], record)
+            kv_r, sv = op.apply(v[r], record)
             kv_r = _guard(kv_r, clamps)
             u[r] = a[r] / kv_r
-            ku_r, kt2 = op.apply(u[r], record)
+            ku_r, su = op.apply(u[r], record)
             ku[r] = _guard(ku_r, clamps)
             if record:
                 tape.kv[l, r] = kv_r
-                tape.ktapes_v[l][r] = kt
-                tape.ktapes_u[l][r] = kt2
+                tape.states_v[l, r] = sv
+                tape.states_u[l, r] = su
         logb = np.zeros(n)
         for r in range(r_count):
             logb += lam[r] * np.log(ku[r])
@@ -147,9 +149,10 @@ def barycenter_backward(tape: BarycenterTape, gbar) -> np.ndarray:
     """Gradient of a scalar loss with respect to the edge weights.
 
     ``gbar`` is the loss gradient at the barycenter output.  The sweeps are
-    replayed newest-first; each kernel application contributes through both
-    its input and its weight adjoint, and the initial scalings v_r = 1 are
-    constants, so their incoming gradient is dropped.
+    replayed newest-first; one ``adjoint_weights`` call per kernel
+    application gives both its input and its weight adjoint, and the
+    initial scalings v_r = 1 are constants, so their incoming gradient is
+    dropped.
     """
     gbar = np.asarray(gbar, dtype=np.float64)
     iters, r_count, n = tape.u.shape
@@ -165,11 +168,11 @@ def barycenter_backward(tape: BarycenterTape, gbar) -> np.ndarray:
         for r in range(r_count):
             ku = tape.ku[l, r]
             gq = tape.lam[r] * gb * tape.b[l] / ku - gv[r] * tape.v[l, r] / ku
-            gu = op.adjoint_input(gq)
-            dw += op.adjoint_weights(tape.ktapes_u[l][r], gq)
+            gu, dwq = op.adjoint_weights(tape.states_u[l, r], gq)
+            dw += dwq
             gp = -gu * tape.u[l, r] / tape.kv[l, r]
-            gv[r] = op.adjoint_input(gp)
-            dw += op.adjoint_weights(tape.ktapes_v[l][r], gp)
+            gv[r], dwp = op.adjoint_weights(tape.states_v[l, r], gp)
+            dw += dwp
     return dw
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import color as colorlib
 from . import tensorio
-from .grids import GridSpec, load_weights, save_weights
+from .diffusion import assemble
+from .grids import GridSpec, edge_count, load_weights, save_weights
 from .lbfgs import LbfgsOptions, minimize
 from .objective import Objective, evaluate_with_grad, load_sequence, save_sequence
 from .synthetic import MetricPattern, forward_sequence, gaussian, render_metric
@@ -117,8 +118,6 @@ def cmd_learn(args) -> int:
         lambda_s=cfg.lambda_s,
     )
 
-    from .grids import edge_count
-
     m = edge_count(spec)
     if cfg.init.mode == "constant":
         x0 = np.zeros(m)  # weights start at exp(0) = 1: the Euclidean grid
@@ -207,8 +206,6 @@ def cmd_transfer(args) -> int:
     src = colorlib.read_ppm(args.source_image)
     target = colorlib.ColorHistogram(n, _load_histogram(args.target_hist, spec).reshape(spec.dims))
     source_hist = colorlib.image_to_histogram(src, n)
-
-    from .diffusion import assemble
 
     op = assemble(spec, w, cfg.epsilon, cfg.substeps)
     tmap, defined = colorlib.barycentric_map(op, source_hist, target, cfg.sinkhorn_iters)

@@ -22,13 +22,14 @@ respect to the weight of edge (i, j) on axis a is
 
     -(eps/4S) / h_a^2 * sum_l (g_l[i] - g_l[j]) * (v_l[i] - v_l[j])
 
-(the leading minus is pinned by finite differences; see the tests).
+(the leading minus is pinned by finite differences; see the tests).  The
+last state of the g-chain is M^-S g = K g, the input adjoint (K is
+symmetric), so one chain of S solves yields both vector-Jacobian products.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,14 +40,11 @@ from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_sli
 DENSE_GUARD = 4096
 
 
-@dataclass
-class KernelTape:
-    """The S intermediate solve states of one kernel application.
-
-    ``states[l]`` is M^{-(l+1)} v, so the last row equals the kernel output.
-    """
-
-    states: np.ndarray  # shape (S, N)
+def _finite(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input to kernel application")
+    return x
 
 
 class DiffusionOperator:
@@ -94,33 +92,36 @@ class DiffusionOperator:
     def apply(self, v, record: bool = False):
         """Apply the kernel: u = M^{-S} v via S solves.
 
-        Returns ``(u, tape)``; ``tape`` is None unless ``record`` is set.
+        Returns ``(u, states)``; ``states`` is None unless ``record`` is set,
+        else the (S, N) array whose row l is M^{-(l+1)} v, so the last row
+        equals ``u``.
         """
-        v = np.asarray(v, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise ValueError("non-finite input to kernel application")
+        v = _finite(v)
         states = np.empty((self.substeps, v.shape[0]), dtype=np.float64) if record else None
         x = v
         for l in range(self.substeps):
             x = self.solve(x)
             if record:
                 states[l] = x
-        tape = KernelTape(states) if record else None
-        return x, tape
+        return x, states
 
     def adjoint_input(self, g: np.ndarray) -> np.ndarray:
         """Pull a gradient back through the kernel; K is symmetric, so K g."""
         return self.apply(g)[0]
 
-    def adjoint_weights(self, tape: KernelTape, g: np.ndarray) -> np.ndarray:
-        """Per-edge weight gradient of <g, K v> given the tape of K v."""
+    def adjoint_weights(self, states: np.ndarray, g: np.ndarray):
+        """Both vector-Jacobian products of <g, K v> from one solve chain.
+
+        ``states`` is the recorded (S, N) array of K v.  Returns ``(K g, dw)``:
+        the gradient pulled back to v and the per-edge weight gradient.
+        """
         n = self.num_vertices
-        if tape.states.shape != (self.substeps, n):
+        if states.shape != (self.substeps, n):
             raise ValueError(
                 "tape shape %r does not match operator (S=%d, N=%d)"
-                % (tape.states.shape, self.substeps, n)
+                % (states.shape, self.substeps, n)
             )
-        g = np.asarray(g, dtype=np.float64)
+        g = _finite(g)
         dims = self.spec.dims
         d = self.spec.d
         acc = [np.zeros(field_shape(self.spec, a)) for a in range(d)]
@@ -128,13 +129,13 @@ class DiffusionOperator:
         for k in range(1, self.substeps + 1):
             gcur = self.solve(gcur)
             gv = gcur.reshape(dims)
-            vv = tape.states[self.substeps - k].reshape(dims)
+            vv = states[self.substeps - k].reshape(dims)
             for a in range(d):
                 acc[a] += np.diff(gv, axis=a) * np.diff(vv, axis=a)
         out = np.empty(edge_count(self.spec))
         for a, sl in enumerate(field_slices(self.spec)):
             out[sl] = (-self.axis_coeff[a]) * acc[a].ravel()
-        return out
+        return gcur, out
 
     def dense_kernel(self) -> np.ndarray:
         """K as a dense matrix. Small-N diagnostic only."""

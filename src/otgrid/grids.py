@@ -18,11 +18,11 @@ change it without versioning the on-disk format.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import map_coordinates
 
 from . import tensorio
 
@@ -185,51 +185,14 @@ def parallel_difference(spec: GridSpec, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def upsample_weights(spec_src: GridSpec, w: np.ndarray, spec_dst: GridSpec) -> np.ndarray:
-    """Resample a weight field onto a finer grid.
-
-    Field entries are treated as samples at edge midpoints; each axis field
-    is resampled by multilinear interpolation (clamped at the boundary), so
-    a constant field stays constant and values remain strictly positive.
-    """
-    if spec_src.d != spec_dst.d:
-        raise ValueError("grids have different dimension")
-    if any(m < n for m, n in zip(spec_dst.dims, spec_src.dims)):
-        raise ValueError("target grid must be at least as fine as the source")
-    fields_src = axis_fields(spec_src, w)
-    out = []
-    for a in range(spec_src.d):
-        fdst_shape = field_shape(spec_dst, a)
-        coords_1d = []
-        for b in range(spec_src.d):
-            n_src = spec_src.dims[b]
-            n_dst = spec_dst.dims[b]
-            scale = (n_src - 1) / (n_dst - 1)
-            if b == a:
-                # edge midpoints: k + 1/2 in vertex units on each grid
-                k = np.arange(fdst_shape[b])
-                coords_1d.append((k + 0.5) * scale - 0.5)
-            else:
-                coords_1d.append(np.arange(fdst_shape[b]) * scale)
-        mesh = np.meshgrid(*coords_1d, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh])
-        vals = map_coordinates(fields_src[a], coords, order=1, mode="nearest")
-        out.append(vals.reshape(fdst_shape))
-    return flatten_fields(out)
-
-
 def save_weights(dirpath, spec: GridSpec, w: np.ndarray) -> None:
     """Write one GMLT tensor per axis field: weights_axis0.gmlt, ..."""
-    import os
-
     os.makedirs(dirpath, exist_ok=True)
     for a, f in enumerate(axis_fields(spec, w)):
         tensorio.write_tensor(os.path.join(dirpath, "weights_axis%d.gmlt" % a), f)
 
 
 def load_weights(dirpath, spec: GridSpec) -> np.ndarray:
-    import os
-
     fields = []
     for a in range(spec.d):
         t = tensorio.read_tensor(os.path.join(dirpath, "weights_axis%d.gmlt" % a))

@@ -15,15 +15,14 @@ returned with respect to wlog (chain rule g = dE/dw * w).
 
 Reduction order is fixed and documented for bit-reproducibility: frames
 accumulate in index order into a per-sequence subtotal, subtotals then
-accumulate in sequence order, regularizers are added last.  Worker
-threads only change who computes a frame, never the summation order.
+accumulate in sequence order, regularizers are added last.  Frames are
+computed one after another in that same order.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,9 +168,8 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     """Objective value and gradient with respect to log-weights.
 
     One operator is assembled and factorized per evaluation and shared by
-    every frame; with threads > 1 the frames are computed concurrently but
-    reduced in the fixed documented order, so results are bit-identical at
-    any thread count.
+    every frame; frames are computed and reduced in the fixed documented
+    order.  ``threads`` is accepted for compatibility and has no effect.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
     if not np.isfinite(wlog).all():
@@ -179,27 +177,15 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     w = np.exp(wlog)
     op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
 
-    jobs = [(seq, i) for seq in obj.sequences for i in range(seq.num_frames)]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(
-                lambda job: _frame_term(op, obj.sinkhorn_iters, job[0], job[1], obj.loss),
-                jobs))
-    else:
-        results = [_frame_term(op, obj.sinkhorn_iters, seq, i, obj.loss)
-                   for seq, i in jobs]
-
     data_fit = 0.0
     dw_data = np.zeros_like(w)
-    k = 0
     for seq in obj.sequences:
         sub_val = 0.0
         sub_dw = np.zeros_like(w)
-        for _ in range(seq.num_frames):
-            val, dwi = results[k]
+        for i in range(seq.num_frames):
+            val, dwi = _frame_term(op, obj.sinkhorn_iters, seq, i, obj.loss)
             sub_val += val
             sub_dw += dwi
-            k += 1
         data_fit += sub_val
         dw_data += sub_dw
 

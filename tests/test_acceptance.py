@@ -117,7 +117,7 @@ def test_ac2_weight_adjoint_matches_finite_differences():
     op = DiffusionOperator(GridSpec((2,)), [1.0], 4.0, 1)
     v = np.array([1.0, 0.0])
     _, tape = op.apply(v, record=True)
-    grad = op.adjoint_weights(tape, v)
+    _, grad = op.adjoint_weights(tape, v)
     assert abs(grad[0] - (-1.0 / 9.0)) < 1e-8
 
     # random 4x4 instances, per-coordinate central differences at h = 1e-4
@@ -133,7 +133,7 @@ def test_ac2_weight_adjoint_matches_finite_differences():
         for epsilon in (1.2e-2, 4e-2):
             op = DiffusionOperator(spec, w, epsilon, 3)
             kv, tape = op.apply(v, record=True)
-            grad = op.adjoint_weights(tape, g)
+            _, grad = op.adjoint_weights(tape, g)
             for e in range(m):
                 wp, wm = w.copy(), w.copy()
                 wp[e] += h

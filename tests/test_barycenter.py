@@ -228,6 +228,27 @@ def test_backward_three_inputs():
         assert dw[e] == pytest.approx(fd, rel=2e-4, abs=1e-9)
 
 
+def test_backward_runs_one_solve_chain_per_kernel_application():
+    """Each of the 2R kernel applications of a sweep is pulled back by one
+    chain of S solves that yields both its input and its weight adjoint."""
+    spec = GridSpec((4, 3))
+    iters, substeps = 3, 4
+    op = assemble(spec, constant_weights(spec), 2e-2, substeps)
+    r_count = 2
+    h = random_histograms(spec, r_count, 14)
+    _, tape = barycenter(op, h, np.array([0.4, 0.6]), iters, record=True)
+    solves = [0]
+    solve = op.solve
+
+    def counted(b):
+        solves[0] += 1
+        return solve(b)
+
+    op.solve = counted
+    barycenter_backward(tape, np.ones(spec.num_vertices))
+    assert solves[0] == iters * r_count * 2 * substeps
+
+
 def test_backward_requires_matching_operator():
     spec_a = GridSpec((3, 3))
     spec_b = GridSpec((4, 4))

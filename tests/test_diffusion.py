@@ -29,8 +29,8 @@ def test_two_node_cost_example():
 def test_two_node_weight_gradient_closed_form():
     # <g, K v> = (1+w)/(1+2w) at v=g=e1; derivative -1/(1+2w)^2 = -1/9 at w=1
     op = two_node()
-    out, tape = op.apply(np.array([1.0, 0.0]), record=True)
-    dw = op.adjoint_weights(tape, np.array([1.0, 0.0]))
+    out, states = op.apply(np.array([1.0, 0.0]), record=True)
+    _, dw = op.adjoint_weights(states, np.array([1.0, 0.0]))
     assert dw[0] == pytest.approx(-1.0 / 9.0, abs=1e-12)
 
 
@@ -87,19 +87,23 @@ def test_adjoint_input_is_kernel_by_symmetry():
     op = assemble(spec, w, 1e-2, 3)
     g = np.random.default_rng(8).normal(size=16)
     np.testing.assert_allclose(op.adjoint_input(g), op.apply(g)[0], atol=0)
+    # the fused product's last g-chain state is the same K g
+    _, states = op.apply(np.ones(16), record=True)
+    kg, _ = op.adjoint_weights(states, g)
+    np.testing.assert_allclose(kg, op.apply(g)[0], atol=0)
 
 
 def test_tape_records_all_substeps():
     spec = GridSpec((3, 3))
     op = assemble(spec, constant_weights(spec), 1e-2, 6)
     v = np.random.default_rng(9).uniform(size=9)
-    out, tape = op.apply(v, record=True)
-    assert tape.states.shape == (6, 9)
-    np.testing.assert_array_equal(tape.states[-1], out)
+    out, states = op.apply(v, record=True)
+    assert states.shape == (6, 9)
+    np.testing.assert_array_equal(states[-1], out)
     # each state is one more backward-Euler substep of the previous
     for l in range(1, 6):
         np.testing.assert_allclose(
-            op.matrix @ tape.states[l], tape.states[l - 1], atol=1e-12
+            op.matrix @ states[l], states[l - 1], atol=1e-12
         )
 
 
@@ -111,8 +115,8 @@ def test_adjoint_weights_matches_finite_differences():
     v = rng.uniform(0.1, 1.0, 12)
     g = rng.uniform(0.1, 1.0, 12)
     op = assemble(spec, w, 2.5e-2, 4)
-    _, tape = op.apply(v, record=True)
-    adj = op.adjoint_weights(tape, g)
+    _, states = op.apply(v, record=True)
+    _, adj = op.adjoint_weights(states, g)
     h = 1e-4
     for e in range(m):
         wp = w.copy()
@@ -129,9 +133,9 @@ def test_adjoint_weights_rejects_foreign_tape():
     spec = GridSpec((3, 3))
     op5 = assemble(spec, constant_weights(spec), 1e-2, 5)
     op3 = assemble(spec, constant_weights(spec), 1e-2, 3)
-    _, tape = op5.apply(np.ones(9), record=True)
+    _, states = op5.apply(np.ones(9), record=True)
     with pytest.raises(ValueError):
-        op3.adjoint_weights(tape, np.ones(9))
+        op3.adjoint_weights(states, np.ones(9))
 
 
 def test_apply_rejects_non_finite():

@@ -15,7 +15,6 @@ from otgrid.grids import (
     parallel_difference,
     parallel_neighbors,
     save_weights,
-    upsample_weights,
 )
 
 small_dims = st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple)
@@ -166,39 +165,6 @@ def test_parallel_difference_constant_is_zero():
     spec = GridSpec((3, 3, 3))
     dw = parallel_difference(spec, constant_weights(spec, 1.7))
     np.testing.assert_array_equal(dw, 0.0)
-
-
-# --- upsampling -------------------------------------------------------------
-
-
-def test_upsample_pinned_1d():
-    # 3-vertex chain [1,3] onto a 4-vertex chain -> [1,2,3]
-    out = upsample_weights(GridSpec((3,)), np.array([1.0, 3.0]), GridSpec((4,)))
-    np.testing.assert_allclose(out, [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_upsample_constant_stays_constant():
-    src = GridSpec((4, 4))
-    dst = GridSpec((9, 9))
-    out = upsample_weights(src, constant_weights(src, 0.7), dst)
-    assert out.shape == (edge_count(dst),)
-    np.testing.assert_allclose(out, 0.7, atol=1e-12)
-
-
-def test_upsample_preserves_positivity_and_range():
-    src = GridSpec((5, 5))
-    rng = np.random.default_rng(11)
-    w = rng.uniform(0.3, 2.0, edge_count(src))
-    out = upsample_weights(src, w, GridSpec((16, 16)))
-    assert (out > 0).all()
-    assert out.min() >= w.min() - 1e-12 and out.max() <= w.max() + 1e-12
-
-
-def test_upsample_dimension_mismatch():
-    with pytest.raises(ValueError):
-        upsample_weights(GridSpec((3, 3)), np.ones(12), GridSpec((4,)))
-    with pytest.raises(ValueError):
-        upsample_weights(GridSpec((5, 5)), np.ones(40), GridSpec((4, 4)))
 
 
 # --- weight field IO ---------------------------------------------------------
