@@ -1,16 +1,22 @@
-"""Fixed-iteration Sinkhorn barycenters over a diffusion kernel.
+"""Fixed-iteration Sinkhorn loops over a diffusion kernel.
 
-The forward pass runs a fixed number of scaling sweeps (no convergence
-stop, so the computation graph is static and differentiable):
+Barycenters and two-marginal transport are the same iterative Bregman
+projection and run through one loop.  It makes a fixed number of scaling
+sweeps (no convergence stop, so the computation graph is static and
+differentiable):
 
     v_r = 1
     repeat L times:
         u_r = a_r / (K v_r)                    for every input r
-        b   = prod_r (K u_r)^{lambda_r}        (geometric mean, log space)
         v_r = b / (K u_r)
 
-Displacement interpolation between two histograms is the R=2 case with
-weights (1-t, t).  The backward pass replays the recorded sweeps in
+with one of two v-targets b: the weighted geometric mean
+prod_r (K u_r)^{lambda_r} (log space) for a barycenter, or a fixed
+histogram for the scalings of the plan diag(u) K diag(v) between a and b.
+Every forward kernel application is ``DiffusionOperator.apply``.
+
+Displacement interpolation between two histograms is the R=2 barycenter
+with weights (1-t, t).  The backward pass replays the recorded sweeps in
 reverse, combining the adjoint of each pointwise operation with one
 vector-Jacobian product per kernel application, which yields the input
 and the weight gradient from a single chain of S solves.
@@ -41,8 +47,13 @@ def _guard(x, counter):
     return x
 
 
-def _check_histograms(a):
+def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
+    if iters < 1:
+        raise ValueError("iteration count must be >= 1")
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    if a.shape[-1] != op.num_vertices:
+        raise ValueError("histogram length %d does not match grid size %d"
+                         % (a.shape[-1], op.num_vertices))
     if np.any(a < 0):
         raise ValueError("histograms must be nonnegative")
     sums = a.sum(axis=1)
@@ -54,23 +65,78 @@ def _check_histograms(a):
 
 @dataclass
 class BarycenterTape:
-    """Everything the backward pass needs, recorded per sweep.
+    """Per-sweep record of the Sinkhorn loop.
 
     Arrays are indexed [sweep, input, vertex]; ``states_v`` / ``states_u``
     are indexed [sweep, input, substep, vertex] and hold the recorded solve
-    states of the K v_r and K u_r applications.
+    states of the K v_r and K u_r applications.  The scalings u, v, Kv, Ku
+    are always recorded; ``op``, ``lam``, the targets ``b`` ([sweep,
+    vertex]) and the solve states are what the backward pass needs on top,
+    and stay None in a history of two-marginal scalings.
     """
 
-    op: DiffusionOperator
-    lam: np.ndarray
     u: np.ndarray
     v: np.ndarray
     kv: np.ndarray
     ku: np.ndarray
-    b: np.ndarray
-    states_v: np.ndarray
-    states_u: np.ndarray
-    clamps: int
+    op: DiffusionOperator | None = None
+    lam: np.ndarray | None = None
+    b: np.ndarray | None = None
+    states_v: np.ndarray | None = None
+    states_u: np.ndarray | None = None
+    clamps: int = 0
+
+
+def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=None):
+    """Run ``iters`` sweeps from v_r = 1 and return ``(u, v, b)``.
+
+    The v-target b is ``target`` when given, else the ``lam``-weighted
+    geometric mean of the K u_r.  ``tape`` receives every sweep, with the
+    solve states when its state arrays are set.  Denominators below 1e-300
+    are clamped and reported once, as a DegeneracyWarning at the caller of
+    the public function that called this one.
+    """
+    r_count, n = a.shape
+    record = tape is not None and tape.states_v is not None
+    clamps = [0]
+    v = np.ones((r_count, n))
+    u = np.empty((r_count, n))
+    kv = np.empty((r_count, n))
+    ku = np.empty((r_count, n))
+    b = target
+    for l in range(iters):
+        for r in range(r_count):
+            kv_r, sv = op.apply(v[r], record)
+            kv[r] = _guard(kv_r, clamps)
+            u[r] = a[r] / kv[r]
+            ku_r, su = op.apply(u[r], record)
+            ku[r] = _guard(ku_r, clamps)
+            if record:
+                tape.states_v[l, r] = sv
+                tape.states_u[l, r] = su
+        if target is None:
+            logb = np.zeros(n)
+            for r in range(r_count):
+                logb += lam[r] * np.log(ku[r])
+            b = np.exp(logb)
+        for r in range(r_count):
+            v[r] = b / ku[r]
+        if tape is not None:
+            tape.u[l] = u
+            tape.v[l] = v
+            tape.kv[l] = kv
+            tape.ku[l] = ku
+            if tape.b is not None:
+                tape.b[l] = b
+    if clamps[0]:
+        warnings.warn(
+            "Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
+            DegeneracyWarning,
+            stacklevel=3,
+        )
+    if tape is not None:
+        tape.clamps = clamps[0]
+    return u, v, b
 
 
 def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = False):
@@ -80,69 +146,25 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     Exactly ``iters`` sweeps run.  Degenerate denominators are clamped at
     1e-300 and reported once per call as a DegeneracyWarning.
     """
-    a = _check_histograms(inputs)
+    a = _check_histograms(op, inputs, iters)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (a.shape[0],):
         raise ValueError("need one weight per input histogram")
     if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-12:
         raise ValueError("barycenter weights must be a probability vector")
-    if iters < 1:
-        raise ValueError("iteration count must be >= 1")
     r_count, n = a.shape
-    if n != op.num_vertices:
-        raise ValueError("histogram length %d does not match grid size %d"
-                         % (n, op.num_vertices))
-
-    clamps = [0]
-    v = np.ones((r_count, n))
+    tape = None
     if record:
         tape = BarycenterTape(
+            *(np.empty((iters, r_count, n)) for _ in range(4)),
             op=op,
             lam=lam.copy(),
-            u=np.empty((iters, r_count, n)),
-            v=np.empty((iters, r_count, n)),
-            kv=np.empty((iters, r_count, n)),
-            ku=np.empty((iters, r_count, n)),
             b=np.empty((iters, n)),
             states_v=np.empty((iters, r_count, op.substeps, n)),
             states_u=np.empty((iters, r_count, op.substeps, n)),
-            clamps=0,
         )
-    u = np.empty((r_count, n))
-    ku = np.empty((r_count, n))
-    b = None
-    for l in range(iters):
-        for r in range(r_count):
-            kv_r, sv = op.apply(v[r], record)
-            kv_r = _guard(kv_r, clamps)
-            u[r] = a[r] / kv_r
-            ku_r, su = op.apply(u[r], record)
-            ku[r] = _guard(ku_r, clamps)
-            if record:
-                tape.kv[l, r] = kv_r
-                tape.states_v[l, r] = sv
-                tape.states_u[l, r] = su
-        logb = np.zeros(n)
-        for r in range(r_count):
-            logb += lam[r] * np.log(ku[r])
-        b = np.exp(logb)
-        for r in range(r_count):
-            v[r] = b / ku[r]
-        if record:
-            tape.u[l] = u
-            tape.ku[l] = ku
-            tape.b[l] = b
-            tape.v[l] = v
-    if clamps[0]:
-        warnings.warn(
-            "barycenter clamped %d near-zero denominators" % clamps[0],
-            DegeneracyWarning,
-            stacklevel=2,
-        )
-    if record:
-        tape.clamps = clamps[0]
-        return b, tape
-    return b, None
+    _, _, b = _sweeps(op, a, iters, lam=lam, tape=tape)
+    return b, tape
 
 
 def barycenter_backward(tape: BarycenterTape, gbar) -> np.ndarray:
@@ -198,57 +220,41 @@ def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = F
     Runs ``iters`` alternating updates u = a/(Kv), v = b/(K u) from v = 1.
     The implied plan is diag(u) K diag(v); it is never materialized here.
     With ``history`` set, also returns the per-sweep (u, v, Kv, Ku) states.
+    Degenerate denominators are clamped at 1e-300 and reported once per
+    call as a DegeneracyWarning.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    clamps = [0]
-    v = np.ones_like(b)
-    states = [] if history else None
-    u = None
-    for _ in range(iters):
-        kv = _guard(op.apply(v)[0], clamps)
-        u = a / kv
-        ku = _guard(op.apply(u)[0], clamps)
-        v = b / ku
-        if history:
-            states.append({"u": u.copy(), "v": v.copy(), "kv": kv, "ku": ku})
-    if clamps[0]:
-        warnings.warn(
-            "scalings clamped %d near-zero denominators" % clamps[0],
-            DegeneracyWarning,
-            stacklevel=2,
-        )
+    a = _check_histograms(op, a, iters)
+    b = _check_histograms(op, b, iters)
+    if len(a) != 1 or len(b) != 1:
+        raise ValueError("need one source and one target histogram")
+    tape = None
     if history:
-        return u, v, states
-    return u, v
+        tape = BarycenterTape(*(np.empty((iters, 1, op.num_vertices)) for _ in range(4)))
+    u, v, _ = _sweeps(op, a, iters, target=b[0], tape=tape)
+    if history:
+        states = [{"u": tape.u[l, 0], "v": tape.v[l, 0], "kv": tape.kv[l, 0],
+                   "ku": tape.ku[l, 0]} for l in range(iters)]
+        return u[0], v[0], states
+    return u[0], v[0]
 
 
 def ot_value_history(op: DiffusionOperator, a, b, iters: int) -> np.ndarray:
     """Regularized transport value after each scaling sweep (diagnostic).
 
     Builds the dense kernel and cost (small grids only) and records
-    <C, P> - eps * H(P) for the current plan P = diag(u) K diag(v), with
-    entropy H(P) = -sum P (log P - 1) and the 0 log 0 = 0 convention.
+    <C, P> - eps * H(P) for the plan P = diag(u) K diag(v) of each sweep of
+    ``sinkhorn_scalings``, with entropy H(P) = -sum P (log P - 1) and the
+    0 log 0 = 0 convention.
     """
     kd = op.dense_kernel()
     with np.errstate(divide="ignore"):
         cost = -op.epsilon * np.log(kd)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    clamps = [0]
-    v = np.ones_like(b)
+    _, _, history = sinkhorn_scalings(op, a, b, iters, history=True)
     values = np.empty(iters)
-    for l in range(iters):
-        u = a / _guard(kd @ v, clamps)
-        v = b / _guard(kd.T @ u, clamps)
-        plan = u[:, None] * kd * v[None, :]
+    for l, st in enumerate(history):
+        plan = st["u"][:, None] * kd * st["v"][None, :]
         pos = plan > 0
         transport = float(np.sum(cost[pos] * plan[pos]))
         entropy = -float(np.sum(plan[pos] * (np.log(plan[pos]) - 1.0)))
         values[l] = transport - op.epsilon * entropy
     return values
-
-
-def regularized_ot_value(op: DiffusionOperator, a, b, iters: int) -> float:
-    """Entropy-regularized transport value after ``iters`` sweeps (diagnostic)."""
-    return float(ot_value_history(op, a, b, iters)[-1])

@@ -142,10 +142,7 @@ class DiffusionOperator:
         n = self.num_vertices
         if n > DENSE_GUARD:
             raise ValueError("dense kernel limited to N <= %d, got %d" % (DENSE_GUARD, n))
-        x = np.eye(n)
-        for _ in range(self.substeps):
-            x = self.solve(x)
-        return x
+        return self.apply(np.eye(n))[0]
 
     def dense_cost(self) -> np.ndarray:
         """-eps * log K, the induced pairwise cost. Small-N diagnostic only."""

@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+import otgrid.barycenter
 from otgrid.barycenter import (
     DegeneracyWarning,
     barycenter,
     barycenter_backward,
     interpolate,
     ot_value_history,
-    regularized_ot_value,
     sinkhorn_scalings,
 )
 from otgrid.diffusion import assemble
@@ -105,20 +105,48 @@ def test_barycenter_input_validation():
         barycenter(op, short, np.array([0.5, 0.5]), 3)  # wrong grid size
 
 
-def test_degenerate_denominators_warn_once_and_stay_finite():
+@pytest.mark.parametrize("run", [
+    lambda op, a, b: barycenter(op, np.stack([a, b]), np.array([0.5, 0.5]), 3)[0],
+    lambda op, a, b: sinkhorn_scalings(op, a, b, 3)[1],
+], ids=["barycenter", "sinkhorn_scalings"])
+def test_degenerate_denominators_warn_once_and_stay_finite(run):
     spec = GridSpec((30, 30))
     op = assemble(spec, constant_weights(spec), 1e-8, 1)
     a = dirac(spec, (0, 0))
     b = dirac(spec, (29, 29))
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        out, _ = barycenter(op, np.stack([a, b]), np.array([0.5, 0.5]), 3)
+        out = run(op, a, b)
     hits = [w for w in rec if issubclass(w.category, DegeneracyWarning)]
     assert len(hits) == 1
+    assert hits[0].filename == __file__  # points at the public function's caller
     assert np.isfinite(out).all()
 
 
 # --- scalings and transport value -------------------------------------------
+
+
+def test_package_does_not_shadow_the_submodule():
+    assert otgrid.barycenter.sinkhorn_scalings is sinkhorn_scalings
+
+
+@pytest.mark.parametrize("fn", [sinkhorn_scalings, ot_value_history])
+def test_scalings_input_validation(fn):
+    op = euclidean_op((3, 3))
+    a, b = random_histograms(op.spec, 2, 15)
+    negative = a.copy()
+    negative[1] += 2 * negative[0]
+    negative[0] *= -1
+    with pytest.raises(ValueError):
+        fn(op, a, b, 0)  # no sweeps
+    with pytest.raises(ValueError):
+        fn(op, negative, b, 3)  # sums to 1 but has a negative entry
+    with pytest.raises(ValueError):
+        fn(op, a, 2 * b, 3)  # target does not sum to 1
+    with pytest.raises(ValueError):
+        fn(op, a[:4], b[:4] / b[:4].sum(), 3)  # wrong grid size
+    with pytest.raises(ValueError):
+        fn(op, np.stack([a, b]), b, 3)  # more than one source
 
 
 def test_scaling_marginal_identity_every_sweep():
@@ -160,7 +188,7 @@ def test_transport_value_self_dirac_closed_form():
     i = 5
     a = np.zeros(16)
     a[i] = 1.0
-    val = regularized_ot_value(op, a, a, 400)
+    val = ot_value_history(op, a, a, 400)[-1]
     C = op.dense_cost()
     assert val == pytest.approx(C[i, i] - op.epsilon, rel=1e-9)
 

@@ -157,6 +157,13 @@ def test_barycentric_map_resolution_mismatch():
         barycentric_map(op, a, b, 5)
 
 
+def test_barycentric_map_rejects_zero_sweeps():
+    op = color_op(3)
+    h = ColorHistogram(3, np.full((3,) * 3, 1 / 27))
+    with pytest.raises(ValueError):
+        barycentric_map(op, h, h, 0)
+
+
 def test_fill_nearest_copies_when_complete():
     tmap = np.random.default_rng(3).uniform(size=(3, 3, 3, 3))
     out = fill_nearest(tmap, np.ones((3, 3, 3), dtype=bool))
