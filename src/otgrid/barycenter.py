@@ -18,8 +18,9 @@ Every forward kernel application is ``DiffusionOperator.apply``.
 Displacement interpolation between two histograms is the R=2 barycenter
 with weights (1-t, t).  The backward pass replays the recorded sweeps in
 reverse, combining the adjoint of each pointwise operation with one
-vector-Jacobian product per kernel application, which yields the input
-and the weight gradient from a single chain of S solves.
+vector-Jacobian product per kernel application: it returns the input
+adjoint K g and adds the application's weight gradient to the operator's
+gradient accumulator (see ``otgrid.diffusion``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionOperator
-from .grids import edge_count
 
 DIVIDE_FLOOR = 1e-300
 
@@ -72,7 +72,8 @@ class BarycenterTape:
     states of the K v_r and K u_r applications.  The scalings u, v, Kv, Ku
     are always recorded; ``op``, ``lam``, the targets ``b`` ([sweep,
     vertex]) and the solve states are what the backward pass needs on top,
-    and stay None in a history of two-marginal scalings.
+    and stay None in a history of two-marginal scalings.  The solve states
+    are recorded only for an operator without a dense kernel.
     """
 
     u: np.ndarray
@@ -155,34 +156,38 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     r_count, n = a.shape
     tape = None
     if record:
+        states = (iters, r_count, op.substeps, n)
         tape = BarycenterTape(
             *(np.empty((iters, r_count, n)) for _ in range(4)),
             op=op,
             lam=lam.copy(),
             b=np.empty((iters, n)),
-            states_v=np.empty((iters, r_count, op.substeps, n)),
-            states_u=np.empty((iters, r_count, op.substeps, n)),
         )
+        if op.kernel is None:
+            tape.states_v, tape.states_u = np.empty(states), np.empty(states)
     _, _, b = _sweeps(op, a, iters, lam=lam, tape=tape)
     return b, tape
 
 
-def barycenter_backward(tape: BarycenterTape, gbar) -> np.ndarray:
+def barycenter_backward(tape: BarycenterTape, gbar, accumulator=None):
     """Gradient of a scalar loss with respect to the edge weights.
 
     ``gbar`` is the loss gradient at the barycenter output.  The sweeps are
-    replayed newest-first; one ``adjoint_weights`` call per kernel
-    application gives both its input and its weight adjoint, and the
-    initial scalings v_r = 1 are constants, so their incoming gradient is
-    dropped.
+    replayed newest-first; one ``pull`` per kernel application gives its
+    input adjoint and adds its weight gradient, and the initial scalings
+    v_r = 1 are constants, so their incoming gradient is dropped.  Returns
+    the gradient, or adds it to ``accumulator`` (from
+    ``op.gradient_accumulator()``, shared by many barycenters and finalized
+    by the caller) and returns None.
     """
     gbar = np.asarray(gbar, dtype=np.float64)
     iters, r_count, n = tape.u.shape
     op = tape.op
     if n != op.num_vertices:
         raise ValueError("tape does not match the operator it was recorded with")
+    acc = op.gradient_accumulator() if accumulator is None else accumulator
+    ones = np.ones(n)
     gv = np.zeros((r_count, n))
-    dw = np.zeros(edge_count(op.spec))
     for l in range(iters - 1, -1, -1):
         gb = gbar.copy() if l == iters - 1 else np.zeros(n)
         for r in range(r_count):
@@ -190,12 +195,16 @@ def barycenter_backward(tape: BarycenterTape, gbar) -> np.ndarray:
         for r in range(r_count):
             ku = tape.ku[l, r]
             gq = tape.lam[r] * gb * tape.b[l] / ku - gv[r] * tape.v[l, r] / ku
-            gu, dwq = op.adjoint_weights(tape.states_u[l, r], gq)
-            dw += dwq
+            gu = acc.pull(gq, tape.u[l, r], _states(tape.states_u, l, r))
             gp = -gu * tape.u[l, r] / tape.kv[l, r]
-            gv[r], dwp = op.adjoint_weights(tape.states_v[l, r], gp)
-            dw += dwp
-    return dw
+            v_in = tape.v[l - 1, r] if l else ones
+            gv[r] = acc.pull(gp, v_in, _states(tape.states_v, l, r))
+    acc.flush()
+    return acc.finalize() if accumulator is None else None
+
+
+def _states(states, l, r):
+    return None if states is None else states[l, r]
 
 
 def interpolate(op: DiffusionOperator, r0, r1, t: float, iters: int) -> np.ndarray:

@@ -14,22 +14,41 @@ formula only for distances up to about t' cells: along an axis
 -log K(d) ~ t' phi(d/t') with phi(x) = x asinh(x/2) - sqrt(4 + x^2) + 2
 = x^2/4 - x^4/192 + ..., which is sub-quadratic in the far tail.
 
-Because each solve is recorded, the derivative of any scalar through a
-kernel application has a closed form: with v_l the l-th intermediate
-state of the forward solve chain and g_l = M^(l-S) g the matching states
-of the chain run on the downstream gradient g, the derivative with
-respect to the weight of edge (i, j) on axis a is
+K is applied on one of two paths, chosen at assembly from the grid size
+alone.  Up to DENSE_MAX vertices the operator forms Minv = M^-1 with one
+N-column solve and K = Minv^S by matrix products, and an application is
+one matrix-vector product.  M is an M-matrix, so Minv is entrywise
+nonnegative and every entry of K, a product of nonnegative factors, is
+positive and accurate to relative rounding (no eigendecomposition, whose
+cancellation gives negative entries).  Above DENSE_MAX, and where a lower
+bound on the entries of K falls near the underflow range (tiny eps, where
+the products would lose terms that the solves keep), an application is S
+successive sparse solves against the factorization of M.
 
-    -(eps/4S) / h_a^2 * sum_l (g_l[i] - g_l[j]) * (v_l[i] - v_l[j])
+The derivative of a scalar through one application of K to x, with
+downstream gradient g, has a closed form.  With x_l = M^-l x and
+g_l = M^-l g, the derivative with respect to the weight of edge (i, j) on
+axis a is
 
-(the leading minus is pinned by finite differences; see the tests).  The
-last state of the g-chain is M^-S g = K g, the input adjoint (K is
-symmetric), so one chain of S solves yields both vector-Jacobian products.
+    -(eps/4S) / h_a^2 * sum_{k=1..S} (g_k[i] - g_k[j]) * (x_(S+1-k)[i] - x_(S+1-k)[j])
+
+(the leading minus is pinned by finite differences; see the tests).  On
+the sparse path the x_l are the recorded solve states of the forward
+chain, and one chain of S solves on g gives every g_k and, as its last
+state, K g, the input adjoint (K is symmetric).  On the dense path the sum
+is the edge quadratic form G_ii + G_jj - G_ij - G_ji of
+
+    G = sum_{k=1..S} Minv^k A Minv^(S+1-k),   A = g x^T,
+
+the adjoint of the Frechet derivative of X -> X^-S (Higham 2008,
+*Functions of Matrices*, ch. 3).  G is linear in A, so the weight gradient
+of any number of applications follows from their summed A and one
+recursion G_1 = Minv A Minv, G_(k+1) = Minv (A Minv^(k+1) + G_k) of 2S
+matrix products.  ``DiffusionOperator.gradient_accumulator`` hides which
+of the two runs.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +57,15 @@ from scipy.sparse.linalg import splu
 from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_slices
 
 DENSE_GUARD = 4096
+# Largest grid whose K is applied as a dense matrix.  The dense path's N^3
+# products overtake the N-linear solves between 30^2 and 40^2 vertices: one
+# desk-style evaluation (S = 20) took 1.7 s against 3.0 s for the solves at
+# 30^2 and 8.5-9.3 s against 7.3-7.5 s at 40^2 (one BLAS thread).
+DENSE_MAX = 1024
+# A dense K entry at least 1/eps above the smallest normal float cannot
+# have lost an underflowed partial product at relative rounding.  Only a
+# K whose lower bound clears it is formed.
+_KERNEL_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _finite(x) -> np.ndarray:
@@ -48,10 +76,11 @@ def _finite(x) -> np.ndarray:
 
 
 class DiffusionOperator:
-    """Sparse factorized M with kernel and adjoint applications.
+    """Factorized M with kernel and adjoint applications.
 
-    Immutable after construction; a lock serializes the underlying
-    triangular solves so concurrent callers are safe.
+    Immutable after construction.  ``kernel`` is the dense K, read-only,
+    on grids of at most DENSE_MAX vertices whose K stays clear of
+    underflow, and None otherwise.
     """
 
     def __init__(self, spec: GridSpec, w, epsilon: float, substeps: int):
@@ -78,7 +107,16 @@ class DiffusionOperator:
             self._lu = splu(self.matrix.tocsc())
         except RuntimeError as exc:  # singular / not SPD: corrupted weights
             raise ValueError("diffusion matrix factorization failed: %s" % exc) from exc
-        self._lock = threading.Lock()
+        self._minv = self.kernel = None
+        if n <= DENSE_MAX:
+            minv = self.solve(np.eye(n))
+            # K >= Minv * min(diag Minv)^(S-1) entrywise (the path that
+            # waits at its end).  Below the floor the products would lose
+            # terms that the solves keep, and crawl through subnormals.
+            if minv.min() * np.diagonal(minv).min() ** (self.substeps - 1) >= _KERNEL_FLOOR:
+                self._minv = minv
+                self.kernel = np.linalg.matrix_power(minv, self.substeps)
+                self.kernel.flags.writeable = False
 
     @property
     def num_vertices(self) -> int:
@@ -86,18 +124,21 @@ class DiffusionOperator:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One backward-Euler substep: solve M x = b."""
-        with self._lock:
-            return self._lu.solve(b)
+        return self._lu.solve(b)
 
     def apply(self, v, record: bool = False):
-        """Apply the kernel: u = M^{-S} v via S solves.
+        """Apply the kernel to v (a vector, or one per column): u = M^{-S} v.
 
         Returns ``(u, states)``; ``states`` is None unless ``record`` is set,
-        else the (S, N) array whose row l is M^{-(l+1)} v, so the last row
-        equals ``u``.
+        else the array of the S solves' outputs, whose entry l is
+        M^{-(l+1)} v, so the last entry equals ``u``.  A recorded
+        application always runs the S solves; otherwise the dense K is used
+        where the operator has one.
         """
         v = _finite(v)
-        states = np.empty((self.substeps, v.shape[0]), dtype=np.float64) if record else None
+        if self.kernel is not None and not record:
+            return self.kernel @ v, None
+        states = np.empty((self.substeps,) + v.shape) if record else None
         x = v
         for l in range(self.substeps):
             x = self.solve(x)
@@ -137,8 +178,25 @@ class DiffusionOperator:
             out[sl] = (-self.axis_coeff[a]) * acc[a].ravel()
         return gcur, out
 
+    def gradient_accumulator(self):
+        """A fresh sum of weight gradients over many kernel applications.
+
+        ``pull(g, x, states)`` returns K g for the application of K to x
+        with downstream gradient g (``states`` its recorded solve states,
+        needed only without a dense K) and adds that application's weight
+        gradient; ``flush()`` marks the end of a batch of pulls (one
+        barycenter's); ``finalize()``, called once, returns the summed
+        per-edge gradient.
+        """
+        if self.kernel is None:
+            return _ChainGradient(self)
+        return _DenseGradient(self)
+
     def dense_kernel(self) -> np.ndarray:
-        """K as a dense matrix. Small-N diagnostic only."""
+        """K as a dense matrix: the formed, read-only K where the operator
+        has one, else N columns through S solves (small N only)."""
+        if self.kernel is not None:
+            return self.kernel
         n = self.num_vertices
         if n > DENSE_GUARD:
             raise ValueError("dense kernel limited to N <= %d, got %d" % (DENSE_GUARD, n))
@@ -148,6 +206,74 @@ class DiffusionOperator:
         """-eps * log K, the induced pairwise cost. Small-N diagnostic only."""
         with np.errstate(divide="ignore"):
             return -self.epsilon * np.log(self.dense_kernel())
+
+
+class _ChainGradient:
+    """Sparse path: one S-solve chain per application, its dw summed."""
+
+    def __init__(self, op: DiffusionOperator):
+        self._op = op
+        self._dw = np.zeros(edge_count(op.spec))
+
+    def pull(self, g, x, states):
+        kg, dw = self._op.adjoint_weights(states, g)
+        self._dw += dw
+        return kg
+
+    def flush(self):
+        pass
+
+    def finalize(self) -> np.ndarray:
+        return self._dw
+
+
+class _DenseGradient:
+    """Dense path: the (g, x) pairs of each batch are added to A = sum g x^T
+    by one matrix product, and G(A) is formed once in ``finalize``."""
+
+    def __init__(self, op: DiffusionOperator):
+        n = op.num_vertices
+        self._op = op
+        self._a = np.zeros((n, n))
+        self._g = []
+        self._x = []
+
+    def pull(self, g, x, states):
+        kg = self._op.apply(g)[0]
+        self._g.append(g)
+        self._x.append(x)
+        return kg
+
+    def flush(self):
+        if self._g:
+            self._a += np.stack(self._g).T @ np.stack(self._x)
+            self._g, self._x = [], []
+
+    def finalize(self) -> np.ndarray:
+        self.flush()
+        # drop the operator, so that K is freed before the recursion unless
+        # a caller still holds it
+        op, self._op = self._op, None
+        minv, spec, coeff, substeps = op._minv, op.spec, op.axis_coeff, op.substeps
+        del op
+        # b = A Minv^k, g = G_k; t is the free buffer of the two products
+        b, self._a = self._a, None
+        g = np.zeros_like(b)
+        t = np.empty_like(b)
+        for _ in range(substeps):
+            np.matmul(b, minv, out=t)
+            b, t = t, b
+            g += b
+            np.matmul(minv, g, out=t)
+            g, t = t, g
+        diag = np.diagonal(g)
+        idx = np.arange(spec.num_vertices).reshape(spec.dims)
+        out = np.empty(edge_count(spec))
+        for a, sl in enumerate(field_slices(spec)):
+            i = np.delete(idx, -1, axis=a).ravel()
+            j = np.delete(idx, 0, axis=a).ravel()
+            out[sl] = (-coeff[a]) * (diag[i] + diag[j] - g[i, j] - g[j, i])
+        return out
 
 
 def assemble(spec: GridSpec, w, epsilon: float, substeps: int) -> DiffusionOperator:

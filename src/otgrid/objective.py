@@ -13,10 +13,12 @@ The total over all sequences is
 optimized in the log domain: the caller supplies wlog, the gradient is
 returned with respect to wlog (chain rule g = dE/dw * w).
 
-Reduction order is fixed and documented for bit-reproducibility: frames
-accumulate in index order into a per-sequence subtotal, subtotals then
-accumulate in sequence order, regularizers are added last.  Frames are
-computed one after another in that same order.
+Reduction order is fixed and documented for bit-reproducibility: frame
+values accumulate in index order into a per-sequence subtotal, subtotals
+then accumulate in sequence order, regularizers are added last.  Frames
+are computed one after another in that same order, and the weight
+gradients of all their kernel applications go, in that order, into one
+gradient accumulator that is finalized once per evaluation.
 """
 
 from __future__ import annotations
@@ -154,40 +156,40 @@ def reg_smooth(spec: GridSpec, w):
 # --- full objective ---------------------------------------------------------
 
 
-def _frame_term(op, iters: int, seq: Sequence, i: int, kind: str):
+def _frame_term(op, iters: int, seq: Sequence, i: int, kind: str, grad_acc) -> float:
     endpoints = np.stack([seq.frames[0], seq.frames[-1]])
     t = seq.timestamps[i]
     lam = np.array([1.0 - t, t])
     recon, tape = barycenter(op, endpoints, lam, iters, record=True)
     val = loss_value(kind, recon, seq.frames[i])
     gbar = loss_grad(kind, recon, seq.frames[i])
-    return val, barycenter_backward(tape, gbar)
+    barycenter_backward(tape, gbar, grad_acc)
+    return val
 
 
 def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool = False):
     """Objective value and gradient with respect to log-weights.
 
     One operator is assembled and factorized per evaluation and shared by
-    every frame; frames are computed and reduced in the fixed documented
-    order.  ``threads`` is accepted for compatibility and has no effect.
+    every frame, and so is one weight-gradient accumulator; frames are
+    computed and reduced in the fixed documented order.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
     if not np.isfinite(wlog).all():
         raise ValueError("non-finite log-weights")
     w = np.exp(wlog)
     op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
+    grad_acc = op.gradient_accumulator()
 
     data_fit = 0.0
-    dw_data = np.zeros_like(w)
     for seq in obj.sequences:
         sub_val = 0.0
-        sub_dw = np.zeros_like(w)
         for i in range(seq.num_frames):
-            val, dwi = _frame_term(op, obj.sinkhorn_iters, seq, i, obj.loss)
-            sub_val += val
-            sub_dw += dwi
+            sub_val += _frame_term(op, obj.sinkhorn_iters, seq, i, obj.loss, grad_acc)
         data_fit += sub_val
-        dw_data += sub_dw
+    del op  # lets finalize free a dense K before its recursion
+    dw_data = grad_acc.finalize()
 
     fc, fc_grad = reg_constant(w)
     fs, fs_grad = reg_smooth(obj.grid, w)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import otgrid.barycenter
+import otgrid.diffusion
 from otgrid.barycenter import (
     DegeneracyWarning,
     barycenter,
@@ -256,9 +257,10 @@ def test_backward_three_inputs():
         assert dw[e] == pytest.approx(fd, rel=2e-4, abs=1e-9)
 
 
-def test_backward_runs_one_solve_chain_per_kernel_application():
+def test_backward_runs_one_solve_chain_per_kernel_application(monkeypatch):
     """Each of the 2R kernel applications of a sweep is pulled back by one
     chain of S solves that yields both its input and its weight adjoint."""
+    monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the LU path
     spec = GridSpec((4, 3))
     iters, substeps = 3, 4
     op = assemble(spec, constant_weights(spec), 2e-2, substeps)

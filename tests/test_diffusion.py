@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otgrid import diffusion
 from otgrid.diffusion import DENSE_GUARD, DiffusionOperator, assemble
 from otgrid.grids import GridSpec, constant_weights, edge_count
 
@@ -81,7 +82,8 @@ def test_solve_is_single_substep():
     np.testing.assert_allclose(op.matrix @ x, b, atol=1e-12)
 
 
-def test_adjoint_input_is_kernel_by_symmetry():
+def test_adjoint_input_is_kernel_by_symmetry(monkeypatch):
+    monkeypatch.setattr(diffusion, "DENSE_MAX", 0)  # the LU path's solve chains
     spec = GridSpec((4, 4))
     w = np.random.default_rng(7).uniform(0.5, 2.0, edge_count(spec))
     op = assemble(spec, w, 1e-2, 3)
@@ -145,6 +147,19 @@ def test_apply_rejects_non_finite():
     v[4] = np.nan
     with pytest.raises(ValueError):
         op.apply(v)
+
+
+def test_dense_kernel_is_the_formed_kernel():
+    """On the dense path K is formed once at assembly and handed out as is;
+    it matches the kernel of the recorded S-solve chain."""
+    rng = np.random.default_rng(12)
+    spec = GridSpec((5, 6))
+    op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 7)
+    K = op.dense_kernel()
+    assert K is op.kernel and not K.flags.writeable
+    chain, states = op.apply(np.eye(spec.num_vertices), record=True)
+    assert states.shape == (7, 30, 30)
+    np.testing.assert_allclose(K, chain, rtol=1e-13, atol=0)
 
 
 def test_dense_kernel_guard():
