@@ -14,16 +14,22 @@ formula only for distances up to about t' cells: along an axis
 -log K(d) ~ t' phi(d/t') with phi(x) = x asinh(x/2) - sqrt(4 + x^2) + 2
 = x^2/4 - x^4/192 + ..., which is sub-quadratic in the far tail.
 
-K is applied on one of two paths, chosen at assembly from the grid size
-alone.  Up to DENSE_MAX vertices the operator forms Minv = M^-1 with one
-N-column solve and K = Minv^S by matrix products, and an application is
-one matrix-vector product.  M is an M-matrix, so Minv is entrywise
+K is applied on one of two paths.  By default an application is S
+successive sparse solves against the factorization of M.  On a grid of
+at most DENSE_MAX vertices (read at assembly), the first request for a
+gradient accumulator forms Minv = M^-1 with one N-column solve and
+K = Minv^S by matrix products; from then on an application is one
+matrix-vector product.  Only differentiated operators pay for K: a
+forward-only caller (interpolation, color transfer) makes few enough
+applications per assembly that its N^3 products need not pay off (a
+30x30 interpolation and a 10^3 color transfer ran slower with them), so
+it stays on the solves.  M is an M-matrix, so Minv is entrywise
 nonnegative and every entry of K, a product of nonnegative factors, is
 positive and accurate to relative rounding (no eigendecomposition, whose
-cancellation gives negative entries).  Above DENSE_MAX, and where a lower
-bound on the entries of K falls near the underflow range (tiny eps, where
-the products would lose terms that the solves keep), an application is S
-successive sparse solves against the factorization of M.
+cancellation gives negative entries).  Where a lower bound on the
+entries of K falls near the underflow range (tiny eps, where the
+products would lose terms that the solves keep), K is not formed and the
+solves stay.
 
 The derivative of a scalar through one application of K to x, with
 downstream gradient g, has a closed form.  With x_l = M^-l x and
@@ -57,15 +63,17 @@ from scipy.sparse.linalg import splu
 from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_slices
 
 DENSE_GUARD = 4096
-# Largest grid whose K is applied as a dense matrix.  The dense path's N^3
-# products overtake the N-linear solves between 30^2 and 40^2 vertices: one
-# desk-style evaluation (S = 20) took 1.7 s against 3.0 s for the solves at
-# 30^2 and 8.5-9.3 s against 7.3-7.5 s at 40^2 (one BLAS thread).
+# Largest grid whose differentiated K is applied as a dense matrix.  The
+# dense path's N^3 products overtake the N-linear solves between 30^2 and
+# 40^2 vertices: one desk-style evaluation (S = 20) took 1.7 s against
+# 3.0 s for the solves at 30^2 and 8.5-9.3 s against 7.3-7.5 s at 40^2
+# (one BLAS thread).
 DENSE_MAX = 1024
-# A dense K entry at least 1/eps above the smallest normal float cannot
-# have lost an underflowed partial product at relative rounding.  Only a
-# K whose lower bound clears it is formed.
-_KERNEL_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# Each entry of a product of two N x N factors sums N partial products, and
+# one that underflows loses at most the smallest normal float.  An entry at
+# least DENSE_MAX/eps times that float has so lost at most relative
+# rounding.  Only a K whose lower bound clears it is formed.
+_KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _finite(x) -> np.ndarray:
@@ -78,9 +86,10 @@ def _finite(x) -> np.ndarray:
 class DiffusionOperator:
     """Factorized M with kernel and adjoint applications.
 
-    Immutable after construction.  ``kernel`` is the dense K, read-only,
-    on grids of at most DENSE_MAX vertices whose K stays clear of
-    underflow, and None otherwise.
+    M and its factorization are fixed at construction.  ``kernel`` is None
+    until the first ``gradient_accumulator`` call forms the dense K,
+    read-only, on a grid of at most DENSE_MAX vertices whose K stays clear
+    of underflow.
     """
 
     def __init__(self, spec: GridSpec, w, epsilon: float, substeps: int):
@@ -108,15 +117,22 @@ class DiffusionOperator:
         except RuntimeError as exc:  # singular / not SPD: corrupted weights
             raise ValueError("diffusion matrix factorization failed: %s" % exc) from exc
         self._minv = self.kernel = None
-        if n <= DENSE_MAX:
-            minv = self.solve(np.eye(n))
-            # K >= Minv * min(diag Minv)^(S-1) entrywise (the path that
-            # waits at its end).  Below the floor the products would lose
-            # terms that the solves keep, and crawl through subnormals.
-            if minv.min() * np.diagonal(minv).min() ** (self.substeps - 1) >= _KERNEL_FLOOR:
-                self._minv = minv
-                self.kernel = np.linalg.matrix_power(minv, self.substeps)
-                self.kernel.flags.writeable = False
+        # K is formed, where allowed, by the first gradient_accumulator()
+        self._kernel_pending = n <= DENSE_MAX
+
+    def _form_kernel(self) -> None:
+        """Form Minv and K = Minv^S on the first call, where allowed."""
+        if not self._kernel_pending:
+            return
+        self._kernel_pending = False
+        minv = self.solve(np.eye(self.num_vertices))
+        # K >= Minv * min(diag Minv)^(S-1) entrywise (the path that waits at
+        # its end).  Below the floor the products would lose terms that the
+        # solves keep, and crawl through subnormals.
+        if minv.min() * np.diagonal(minv).min() ** (self.substeps - 1) >= _KERNEL_FLOOR:
+            self._minv = minv
+            self.kernel = np.linalg.matrix_power(minv, self.substeps)
+            self.kernel.flags.writeable = False
 
     @property
     def num_vertices(self) -> int:
@@ -186,14 +202,17 @@ class DiffusionOperator:
         needed only without a dense K) and adds that application's weight
         gradient; ``flush()`` marks the end of a batch of pulls (one
         barycenter's); ``finalize()``, called once, returns the summed
-        per-edge gradient.
+        per-edge gradient.  The first call forms the dense K where the
+        operator allows one, so applications after it, the forward passes
+        to be differentiated included, use it.
         """
+        self._form_kernel()
         if self.kernel is None:
             return _ChainGradient(self)
         return _DenseGradient(self)
 
     def dense_kernel(self) -> np.ndarray:
-        """K as a dense matrix: the formed, read-only K where the operator
+        """K as a dense matrix: the formed, read-only K once the operator
         has one, else N columns through S solves (small N only)."""
         if self.kernel is not None:
             return self.kernel

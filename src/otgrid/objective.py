@@ -180,6 +180,8 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
         raise ValueError("non-finite log-weights")
     w = np.exp(wlog)
     op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
+    # requested before the frames, so that their forward passes run on the
+    # dense K where the accumulator forms one
     grad_acc = op.gradient_accumulator()
 
     data_fit = 0.0

@@ -150,11 +150,13 @@ def test_apply_rejects_non_finite():
 
 
 def test_dense_kernel_is_the_formed_kernel():
-    """On the dense path K is formed once at assembly and handed out as is;
-    it matches the kernel of the recorded S-solve chain."""
+    """Once a gradient accumulator has formed K, it is handed out as is; it
+    matches the kernel of the recorded S-solve chain."""
     rng = np.random.default_rng(12)
     spec = GridSpec((5, 6))
     op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 7)
+    assert op.kernel is None
+    op.gradient_accumulator()
     K = op.dense_kernel()
     assert K is op.kernel and not K.flags.writeable
     chain, states = op.apply(np.eye(spec.num_vertices), record=True)
