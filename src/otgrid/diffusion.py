@@ -3,9 +3,13 @@
 The kernel is K = M^{-S} for M = Id - (eps/4S) * sum_a L_a(w) / h_a^2,
 where L_a is the axis-a part of the weighted graph Laplacian and
 h_a = 1/(n_a - 1) is the mesh size of a grid discretizing [0,1]^d.  One
-application of K means S successive sparse solves against a factorization
-of M computed once at assembly.  M has unit row sums, so K is stochastic
-(K 1 = 1) and, being symmetric, mass-preserving.
+application of K means S successive solves against a factorization of M
+computed once at assembly.  M is symmetric positive definite and, with
+vertices in row-major order, banded: its widest coupling is along axis 0,
+prod(dims[1:]) vertices apart.  It is factored once by LAPACK's banded
+Cholesky (dpbtrf), and every solve, of a vector or of a column block, is
+one dpbtrs call against that factor.  M has unit row sums, so K is
+stochastic (K 1 = 1) and, being symmetric, mass-preserving.
 
 K approximates the lattice heat kernel exp(t' L) at the diffusion time
 t' = eps (n-1)^2 / 4 in cell units (unit weights, n vertices per axis).
@@ -15,7 +19,7 @@ formula only for distances up to about t' cells: along an axis
 = x^2/4 - x^4/192 + ..., which is sub-quadratic in the far tail.
 
 K is applied on one of two paths.  By default an application is S
-successive sparse solves against the factorization of M.  On a grid of
+successive banded solves against the Cholesky factor of M.  On a grid of
 at most DENSE_MAX vertices (read at assembly), the first request for a
 gradient accumulator forms Minv = M^-1 with one N-column solve and
 K = Minv^S by matrix products; from then on an application is one
@@ -39,7 +43,7 @@ axis a is
     -(eps/4S) / h_a^2 * sum_{k=1..S} (g_k[i] - g_k[j]) * (x_(S+1-k)[i] - x_(S+1-k)[j])
 
 (the leading minus is pinned by finite differences; see the tests).  On
-the sparse path the x_l are the recorded solve states of the forward
+the solve path the x_l are the recorded solve states of the forward
 chain, and one chain of S solves on g gives every g_k and, as its last
 state, K g, the input adjoint (K is symmetric).  On the dense path the sum
 is the edge quadratic form G_ii + G_jj - G_ij - G_ji of
@@ -58,16 +62,17 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_slices
 
 DENSE_GUARD = 4096
-# Largest grid whose differentiated K is applied as a dense matrix.  The
-# dense path's N^3 products overtake the N-linear solves between 30^2 and
-# 40^2 vertices: one desk-style evaluation (S = 20) took 1.7 s against
-# 3.0 s for the solves at 30^2 and 8.5-9.3 s against 7.3-7.5 s at 40^2
-# (one BLAS thread).
+# Largest grid whose differentiated K is applied as a dense matrix.  One
+# desk-style evaluation (S = 20, 30 sweeps, 7 frames, one BLAS thread) took
+# 0.44 s dense against 0.69 s on the banded solves at 25^2, 1.1 s against
+# 1.0 s at 30^2 and 2.4 s against 1.1 s at 35^2.  The value dates from
+# sparse LU solves (1.6 s at 30^2, 2.2 s at 35^2), which moved the
+# crossover to between 30^2 and 35^2.
 DENSE_MAX = 1024
 # Each entry of a product of two N x N factors sums N partial products, and
 # one that underflows loses at most the smallest normal float.  An entry at
@@ -84,12 +89,13 @@ def _finite(x) -> np.ndarray:
 
 
 class DiffusionOperator:
-    """Factorized M with kernel and adjoint applications.
+    """M, its banded Cholesky factor, and kernel and adjoint applications.
 
-    M and its factorization are fixed at construction.  ``kernel`` is None
-    until the first ``gradient_accumulator`` call forms the dense K,
-    read-only, on a grid of at most DENSE_MAX vertices whose K stays clear
-    of underflow.
+    M and its factor are fixed at construction, which raises ValueError
+    when M has a non-finite entry or is not positive definite.  ``kernel``
+    is None until the first ``gradient_accumulator`` call forms the dense
+    K, read-only, on a grid of at most DENSE_MAX vertices whose K stays
+    clear of underflow.
     """
 
     def __init__(self, spec: GridSpec, w, epsilon: float, substeps: int):
@@ -112,10 +118,18 @@ class DiffusionOperator:
         lap = build_laplacian(spec, scaled)
         n = spec.num_vertices
         self.matrix = (sp.identity(n, format="csr") - self.c * lap).tocsr()
-        try:
-            self._lu = splu(self.matrix.tocsc())
-        except RuntimeError as exc:  # singular / not SPD: corrupted weights
-            raise ValueError("diffusion matrix factorization failed: %s" % exc) from exc
+        # LAPACK's Cholesky passes NaN and inf through without complaint
+        if not np.isfinite(self.matrix.data).all():
+            raise ValueError("diffusion matrix has non-finite entries: corrupted weights")
+        # bandwidth: axis-0 neighbours are n // dims[0] vertices apart; upper
+        # band storage puts M[i, j] at band[kd + i - j, j]
+        kd = n // spec.dims[0]
+        upper = sp.triu(self.matrix, format="coo")
+        band = np.zeros((kd + 1, n), order="F")
+        band[kd + upper.row - upper.col, upper.col] = upper.data
+        self._cholesky, info = dpbtrf(band, overwrite_ab=1)
+        if info != 0:
+            raise ValueError("diffusion matrix factorization failed: LAPACK info %d" % info)
         self._minv = self.kernel = None
         # K is formed, where allowed, by the first gradient_accumulator()
         self._kernel_pending = n <= DENSE_MAX
@@ -139,8 +153,9 @@ class DiffusionOperator:
         return self.spec.num_vertices
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """One backward-Euler substep: solve M x = b."""
-        return self._lu.solve(b)
+        """One backward-Euler substep: solve M x = b for a vector or an
+        (N, k) block, by the banded Cholesky factor; ``b`` is not changed."""
+        return dpbtrs(self._cholesky, b)[0]
 
     def apply(self, v, record: bool = False):
         """Apply the kernel to v (a vector, or one per column): u = M^{-S} v.
@@ -213,7 +228,8 @@ class DiffusionOperator:
 
     def dense_kernel(self) -> np.ndarray:
         """K as a dense matrix: the formed, read-only K once the operator
-        has one, else N columns through S solves (small N only)."""
+        has one, else an N-column block through S banded solves (small N
+        only)."""
         if self.kernel is not None:
             return self.kernel
         n = self.num_vertices
@@ -228,7 +244,7 @@ class DiffusionOperator:
 
 
 class _ChainGradient:
-    """Sparse path: one S-solve chain per application, its dw summed."""
+    """Solve path: one S-solve chain per application, its dw summed."""
 
     def __init__(self, op: DiffusionOperator):
         self._op = op

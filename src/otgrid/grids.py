@@ -127,38 +127,6 @@ def build_laplacian(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _edge_axis_and_index(spec: GridSpec, e: int):
-    sizes = field_sizes(spec)
-    if not 0 <= e < sum(sizes):
-        raise IndexError("edge index %d out of range" % e)
-    for a, size in enumerate(sizes):
-        if e < size:
-            return a, np.unravel_index(e, field_shape(spec, a))
-        e -= size
-    raise AssertionError("unreachable")
-
-
-def parallel_neighbors(spec: GridSpec, e: int) -> list[int]:
-    """Same-orientation edges one grid step away from edge ``e``.
-
-    Neighbors are edges of the same axis whose field position differs by
-    exactly +-1 along exactly one axis (including the edge's own axis);
-    within each axis field this is the von Neumann stencil.  Boundary
-    edges get fewer neighbors.
-    """
-    a, idx = _edge_axis_and_index(spec, e)
-    fshape = field_shape(spec, a)
-    offset = field_slices(spec)[a].start
-    out = []
-    for ax in range(spec.d):
-        for step in (-1, 1):
-            nidx = list(idx)
-            nidx[ax] += step
-            if 0 <= nidx[ax] < fshape[ax]:
-                out.append(offset + int(np.ravel_multi_index(tuple(nidx), fshape)))
-    return sorted(out)
-
-
 def parallel_difference(spec: GridSpec, w: np.ndarray) -> np.ndarray:
     """Apply e -> sum_{e' in N(e)} (w_e - w_{e'}) to every edge at once.
 

@@ -16,7 +16,7 @@ from scipy.ndimage import uniform_filter
 
 from .barycenter import interpolate
 from .diffusion import assemble
-from .grids import GridSpec, constant_weights, field_shape, flatten_fields
+from .grids import GridSpec, field_shape, flatten_fields
 from .objective import Sequence, default_timestamps
 
 
@@ -175,7 +175,3 @@ def moving_gaussian_sequence(spec: GridSpec, waypoints, sigma: float, frames: in
         out[i] = gaussian(spec, center, sigma)
     return Sequence(out, ts)
 
-
-def euclidean_weights(spec: GridSpec) -> np.ndarray:
-    """The unweighted grid: every edge weight 1."""
-    return constant_weights(spec, 1.0)

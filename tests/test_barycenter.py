@@ -260,7 +260,7 @@ def test_backward_three_inputs():
 def test_backward_runs_one_solve_chain_per_kernel_application(monkeypatch):
     """Each of the 2R kernel applications of a sweep is pulled back by one
     chain of S solves that yields both its input and its weight adjoint."""
-    monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the LU path
+    monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the solve path
     spec = GridSpec((4, 3))
     iters, substeps = 3, 4
     op = assemble(spec, constant_weights(spec), 2e-2, substeps)

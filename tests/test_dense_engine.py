@@ -1,9 +1,9 @@
-"""Equivalence gate: the dense kernel engine against the LU tape path.
+"""Equivalence gate: the dense kernel engine against the solve-chain tape path.
 
 On grids of at most ``DENSE_MAX`` vertices, an operator asked for a
 gradient accumulator applies K as one dense matrix and gets the weight
 gradient of every kernel application from one N x N accumulation.  The
-per-column LU path, which the finite-difference tests validate, is forced
+per-column solve path, which the finite-difference tests validate, is forced
 by patching ``DENSE_MAX`` to 0 and serves as the reference.
 """
 
@@ -36,7 +36,7 @@ def random_weights(spec, seed):
 
 def both_paths(monkeypatch, spec, w, epsilon, substeps):
     """Two operators for ``w``, both asked for an accumulator, so that the
-    first forms K where it can; the second is assembled on the LU path."""
+    first forms K where it can; the second is assembled on the solve path."""
     dense = assemble(spec, w, epsilon, substeps)
     with monkeypatch.context() as m:
         m.setattr(diffusion, "DENSE_MAX", 0)
@@ -105,7 +105,7 @@ def test_underflowing_kernel_falls_back_to_the_solves(dims):
     """At an epsilon where the kernel underflows, a dense K would have lost
     the entries that the solves keep (on the 20x20 grid it gave 192 clamps
     against 72 and a NaN gradient), so the guard keeps the operator on the
-    LU path, whose sweeps clamp and report it once.
+    solve path, whose sweeps clamp and report it once.
 
     The clamps cannot be compared against a formed K: every entry of one
     is above the guard's floor of about 1e-289, so K x clears the 1e-300
@@ -127,7 +127,7 @@ def test_underflowing_kernel_falls_back_to_the_solves(dims):
 
 def test_dense_evaluation_solves_once_per_assembly(monkeypatch):
     """One N-column solve forms M^-1; no kernel application or backward
-    pull solves (the LU path makes iters * 2R * 2S per frame)."""
+    pull solves (the solve path makes iters * 2R * 2S per frame)."""
     spec = GridSpec((8, 8))
     obj = Objective(spec, (blob_sequence(spec, 3),), 1.2e-2, 5, 6)
     columns = []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from otgrid import diffusion
-from otgrid.diffusion import DENSE_GUARD, DiffusionOperator, assemble
+from otgrid.diffusion import DENSE_GUARD, DENSE_MAX, DiffusionOperator, assemble
 from otgrid.grids import GridSpec, constant_weights, edge_count
 
 
@@ -83,7 +84,7 @@ def test_solve_is_single_substep():
 
 
 def test_adjoint_input_is_kernel_by_symmetry(monkeypatch):
-    monkeypatch.setattr(diffusion, "DENSE_MAX", 0)  # the LU path's solve chains
+    monkeypatch.setattr(diffusion, "DENSE_MAX", 0)  # the solve path's chains
     spec = GridSpec((4, 4))
     w = np.random.default_rng(7).uniform(0.5, 2.0, edge_count(spec))
     op = assemble(spec, w, 1e-2, 3)
@@ -181,3 +182,58 @@ def test_mass_is_conserved_by_symmetry():
     v = rng.uniform(0.0, 1.0, 25)
     out, _ = op.apply(v)
     assert out.sum() == pytest.approx(v.sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (6, 5, 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+def test_assembly_rejects_non_finite_matrix(dims, bad):
+    """A NaN or inf weight, or one that overflows when scaled by (n-1)^2,
+    leaves non-finite entries in M; assembly must refuse it rather than
+    hand out an operator whose applications are NaN."""
+    spec = GridSpec(dims)
+    w = constant_weights(spec)
+    w[edge_count(spec) // 2] = bad
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        assemble(spec, w, 1e-2, 3)
+
+
+# Equivalence gate for the banded Cholesky factorization: a sparse LU of the
+# same M, built here only, is the reference.  Grids include both axis orders
+# of a rectangle (bandwidth 7 against 2) and 16^3, bandwidth 256.
+EQUIVALENCE_GRIDS = [(9,), (2, 7), (7, 2), (5, 6), (6, 5, 4), (20, 20), (16, 16, 16)]
+
+
+def rel_diff(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dims", EQUIVALENCE_GRIDS, ids=lambda d: "x".join(map(str, d)))
+def test_banded_solve_matches_sparse_lu(dims):
+    spec = GridSpec(dims)
+    n = spec.num_vertices
+    rng = np.random.default_rng(n)
+    w = np.exp(rng.normal(0.0, 0.3, edge_count(spec)))
+    op = assemble(spec, w, 1.2e-2, 3)
+    lu = splu(op.matrix.tocsc())
+
+    def reference_kernel(v):
+        for _ in range(op.substeps):
+            v = lu.solve(v)
+        return v
+
+    for b in (rng.normal(size=n), rng.normal(size=(n, 7))):
+        b_before = b.copy()
+        x = op.solve(b)
+        assert x.shape == b.shape
+        np.testing.assert_array_equal(b, b_before)
+        assert rel_diff(x, lu.solve(b)) <= 1e-13
+    v = rng.uniform(size=(n, 7))
+    assert rel_diff(op.apply(v)[0], reference_kernel(v)) <= 1e-13
+    if n > DENSE_MAX:
+        return
+    k_ref = reference_kernel(np.eye(n))
+    assert rel_diff(op.dense_kernel(), k_ref) <= 1e-13  # S solves per column
+    op.gradient_accumulator()
+    assert op.kernel is not None
+    assert rel_diff(op.apply(v)[0], reference_kernel(v)) <= 1e-13  # one product
+    assert rel_diff(op.dense_kernel(), k_ref) <= 1e-13

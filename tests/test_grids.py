@@ -10,10 +10,10 @@ from otgrid.grids import (
     constant_weights,
     edge_count,
     field_shape,
+    field_slices,
     flatten_fields,
     load_weights,
     parallel_difference,
-    parallel_neighbors,
     save_weights,
 )
 
@@ -89,6 +89,32 @@ def test_laplacian_rejects_nonpositive_weights():
 
 
 # --- parallel neighborhoods -------------------------------------------------
+
+
+def parallel_neighbors(spec: GridSpec, e: int) -> list[int]:
+    """Same-orientation edges one grid step away from edge ``e``.
+
+    Neighbors are edges of the same axis whose field position differs by
+    exactly +-1 along exactly one axis (including the edge's own axis);
+    within each axis field this is the von Neumann stencil.  Boundary
+    edges get fewer neighbors.  An edge-by-edge reference for
+    ``parallel_difference``.
+    """
+    if not 0 <= e < edge_count(spec):
+        raise IndexError("edge index %d out of range" % e)
+    slices = field_slices(spec)
+    a = next(a for a, sl in enumerate(slices) if e < sl.stop)
+    fshape = field_shape(spec, a)
+    offset = slices[a].start
+    idx = np.unravel_index(e - offset, fshape)
+    out = []
+    for ax in range(spec.d):
+        for step in (-1, 1):
+            nidx = list(idx)
+            nidx[ax] += step
+            if 0 <= nidx[ax] < fshape[ax]:
+                out.append(offset + int(np.ravel_multi_index(tuple(nidx), fshape)))
+    return sorted(out)
 
 
 def test_parallel_neighbors_2x2_pinned():

@@ -17,7 +17,7 @@ from otgrid.objective import (
     reg_smooth,
     save_sequence,
 )
-from otgrid.synthetic import euclidean_weights, forward_sequence, gaussian
+from otgrid.synthetic import forward_sequence, gaussian
 
 
 def normalized(rng, shape):
@@ -241,7 +241,7 @@ def test_truth_fits_better_than_euclidean():
     seq = forward_sequence(spec, w_true, r0, r1, 4, 1.2e-2, 5, 10)
     obj = Objective(spec, (seq,), 1.2e-2, 5, 10, lambda_c=0.0, lambda_s=0.0)
     at_truth, _ = evaluate_with_grad(obj, np.log(w_true))
-    at_flat, _ = evaluate_with_grad(obj, np.log(euclidean_weights(spec)))
+    at_flat, _ = evaluate_with_grad(obj, np.log(constant_weights(spec)))
     assert at_truth < at_flat
 
 

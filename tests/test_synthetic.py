@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from otgrid.grids import GridSpec, axis_fields, edge_count, field_shape
+from otgrid.grids import GridSpec, axis_fields, constant_weights, edge_count, field_shape
 from otgrid.synthetic import (
     MetricPattern,
     Region,
     dirac,
-    euclidean_weights,
     forward_sequence,
     gaussian,
     moving_gaussian_sequence,
@@ -143,8 +142,9 @@ def test_pattern_from_dict_roundtrip():
 
 
 def test_euclidean_weights_all_ones():
+    """The Euclidean metric is the unweighted grid: every edge weight 1."""
     spec = GridSpec((4, 7))
-    w = euclidean_weights(spec)
+    w = constant_weights(spec)
     assert w.shape == (edge_count(spec),)
     assert (w == 1.0).all()
 
@@ -156,7 +156,7 @@ def test_forward_sequence_shape_and_mass():
     spec = GridSpec((8, 8))
     r0 = gaussian(spec, (3.5, 1.0), 1.0)
     r1 = gaussian(spec, (3.5, 6.0), 1.0)
-    seq = forward_sequence(spec, euclidean_weights(spec), r0, r1, 5, 1.2e-2, 5, 10)
+    seq = forward_sequence(spec, constant_weights(spec), r0, r1, 5, 1.2e-2, 5, 10)
     assert seq.frames.shape == (5, 64)
     np.testing.assert_allclose(seq.frames.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(seq.timestamps, np.linspace(0, 1, 5))
@@ -167,7 +167,7 @@ def test_forward_sequence_mirror_symmetry():
     spec = GridSpec((9, 9))
     r0 = dirac(spec, (4, 1))
     r1 = dirac(spec, (4, 7))
-    seq = forward_sequence(spec, euclidean_weights(spec), r0, r1, 5, 1.2e-2, 10, 25)
+    seq = forward_sequence(spec, constant_weights(spec), r0, r1, 5, 1.2e-2, 10, 25)
     for i in range(5):
         a = seq.frames[i].reshape(9, 9)
         b = seq.frames[4 - i].reshape(9, 9)[:, ::-1]
@@ -178,7 +178,7 @@ def test_forward_sequence_needs_two_frames():
     spec = GridSpec((4, 4))
     r = gaussian(spec, (1.5, 1.5), 1.0)
     with pytest.raises(ValueError):
-        forward_sequence(spec, euclidean_weights(spec), r, r, 1, 1e-2, 3, 5)
+        forward_sequence(spec, constant_weights(spec), r, r, 1, 1e-2, 3, 5)
 
 
 def test_moving_gaussian_two_waypoints():
