@@ -20,7 +20,7 @@ from . import color as colorlib
 from . import tensorio
 from .diffusion import assemble
 from .grids import GridSpec, edge_count, load_weights, save_weights
-from .lbfgs import LbfgsOptions, minimize
+from .lbfgs import minimize
 from .objective import Objective, evaluate_with_grad, load_sequence, save_sequence
 from .synthetic import MetricPattern, forward_sequence, gaussian, render_metric
 from .tensorio import ConfigError, RunConfig, TensorFormatError, read_config
@@ -147,20 +147,7 @@ def cmd_learn(args) -> int:
     if log_fh is not None:
         log_fh.write("iteration,objective,data_fit,reg_constant,reg_smooth,grad_inf,elapsed\n")
     try:
-        result = minimize(
-            fun,
-            x0,
-            LbfgsOptions(
-                memory=cfg.lbfgs.memory,
-                max_iters=cfg.lbfgs.max_iters,
-                grad_tol=cfg.lbfgs.grad_tol,
-                armijo=cfg.lbfgs.line_search.armijo,
-                shrink=cfg.lbfgs.line_search.shrink,
-                max_backtracks=cfg.lbfgs.line_search.max_trials,
-                init_step=cfg.lbfgs.line_search.init_step,
-            ),
-            callback=on_iteration,
-        )
+        result = minimize(fun, x0, cfg.lbfgs, callback=on_iteration)
         if log_fh is not None:
             log_fh.write("# status=%s\n" % result.status)
     finally:

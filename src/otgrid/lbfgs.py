@@ -21,25 +21,32 @@ STATUS_LINE_SEARCH_FAILED = "line_search_failed"
 
 @dataclass(frozen=True)
 class LbfgsOptions:
+    """Settings of ``minimize``; a run config's ``lbfgs`` block sets them by name."""
+
     memory: int = 10
     max_iters: int = 500
     grad_tol: float = 1e-7  # on the max-norm of the gradient
     armijo: float = 1e-4
     shrink: float = 0.5
-    max_backtracks: int = 40
+    max_trials: int = 40  # objective evaluations per line search
     init_step: float = 1.0
 
     def __post_init__(self):
-        if self.memory < 0:
+        # written so that NaN fails every check
+        if not self.memory >= 0:
             raise ValueError("memory must be >= 0")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError("grad_tol must be > 0")
-        if not 0 < self.armijo < 1 or not 0 < self.shrink < 1:
-            raise ValueError("bad line search constants")
-        if self.max_backtracks < 1 or self.init_step <= 0:
-            raise ValueError("bad line search constants")
+        if not 0 < self.armijo < 1:
+            raise ValueError("armijo must be in (0, 1)")
+        if not 0 < self.shrink < 1:
+            raise ValueError("shrink must be in (0, 1)")
+        if not self.max_trials >= 1:
+            raise ValueError("max_trials must be >= 1")
+        if not self.init_step > 0:
+            raise ValueError("init_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
 
         step = opts.init_step
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(opts.max_trials):
             xn = x + step * d
             fn, gn = f(xn)
             gn = np.asarray(gn, dtype=np.float64)

@@ -33,8 +33,7 @@ from . import tensorio
 from .barycenter import barycenter, barycenter_backward
 from .diffusion import assemble
 from .grids import GridSpec, parallel_difference
-
-LOSS_KINDS = ("l1", "l2", "kl")
+from .tensorio import LOSS_KINDS
 
 
 @dataclass(frozen=True)

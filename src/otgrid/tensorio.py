@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
+
+from .lbfgs import LbfgsOptions
 
 MAGIC = b"GMLT"
 VERSION = 1
@@ -82,6 +85,8 @@ def read_tensor(path) -> np.ndarray:
     dtype_code, ndim = struct.unpack_from("<BB", raw, 8)
     if dtype_code != DTYPE_F64:
         raise UnsupportedDtypeError("%s: unsupported dtype code %d" % (path, dtype_code))
+    if ndim == 0:
+        raise TensorFormatError("%s: zero-dimensional tensor" % (path,))
     header_end = 10 + 8 * ndim
     if len(raw) < header_end:
         raise TruncatedDataError("%s: truncated dimension list" % (path,))
@@ -102,22 +107,13 @@ def read_tensor(path) -> np.ndarray:
 
 
 # --- run configuration -------------------------------------------------
+#
+# Every config key is the name of a field below or of an LbfgsOptions field,
+# and every default is that field's default.  The L-BFGS settings sit under
+# "lbfgs", the line-search ones one level further, under "lbfgs.line_search".
 
-
-@dataclass(frozen=True)
-class LineSearchConfig:
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    max_trials: int = 40
-    init_step: float = 1.0
-
-
-@dataclass(frozen=True)
-class LbfgsConfig:
-    max_iters: int = 500
-    memory: int = 10
-    grad_tol: float = 1e-7
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
+LOSS_KINDS = ("l1", "l2", "kl")
+_LINE_SEARCH = ("armijo", "shrink", "max_trials", "init_step")
 
 
 @dataclass(frozen=True)
@@ -138,13 +134,9 @@ class RunConfig:
     loss: str = "l2"
     lambda_c: float = 0.0
     lambda_s: float = 1.0
-    lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
+    lbfgs: LbfgsOptions = field(default_factory=LbfgsOptions)
     init: InitConfig = field(default_factory=InitConfig)
     seed: int = 0
-
-
-_REQUIRED = ("d", "n", "epsilon", "substeps", "sinkhorn_iters")
-_LOSSES = ("l1", "l2", "kl")
 
 
 def _need(cond, msg):
@@ -152,100 +144,74 @@ def _need(cond, msg):
         raise ConfigError(msg)
 
 
+def _names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _object(doc, name, keys) -> dict:
+    """Check that ``doc`` is a JSON object whose keys all lie in ``keys``."""
+    _need(isinstance(doc, dict), "%s must be an object" % name)
+    unknown = set(doc) - set(keys)
+    _need(not unknown, "unknown %s keys: %s" % (name, ", ".join(sorted(unknown))))
+    return doc
+
+
+def _scalar(kind, value, key):
+    """Cast one config value to ``kind`` (int, float or str)."""
+    if not isinstance(value, (int, float, str)):
+        raise ConfigError("%s must be of type %s, got %s"
+                          % (key, kind.__name__, json.dumps(value)))
+    try:
+        return kind(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError("%s: %s" % (key, exc)) from exc
+
+
+def _values(cls, doc, prefix="") -> dict:
+    """The entries of ``doc`` that set scalar fields of ``cls``, cast to their types."""
+    hints = get_type_hints(cls)
+    return {
+        key: _scalar(hints[key], value, prefix + key)
+        for key, value in doc.items()
+        if hints.get(key) in (int, float, str)
+    }
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON-shaped dict and fill in defaults."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    known = set(_REQUIRED) | {
-        "frames",
-        "loss",
-        "lambda_c",
-        "lambda_s",
-        "lbfgs",
-        "init",
-        "seed",
-    }
-    unknown = set(doc) - known
-    _need(not unknown, "unknown config keys: %s" % ", ".join(sorted(unknown)))
-    for key in _REQUIRED:
-        _need(key in doc, "missing required config key '%s'" % key)
+    _object(doc, "config", _names(RunConfig))
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _need(f.name in doc, "missing required config key '%s'" % f.name)
+    lb = _object(doc.get("lbfgs", {}), "lbfgs",
+                 _names(LbfgsOptions) - set(_LINE_SEARCH) | {"line_search"})
+    ls = _object(lb.get("line_search", {}), "line_search", _LINE_SEARCH)
+    init_doc = _object(doc.get("init", {}), "init", _names(InitConfig))
 
-    d = int(doc["d"])
-    _need(d in (2, 3), "d must be 2 or 3, got %d" % d)
-    n = int(doc["n"])
-    _need(n >= 2, "n must be >= 2")
-    epsilon = float(doc["epsilon"])
-    _need(epsilon > 0, "epsilon must be > 0")
-    substeps = int(doc["substeps"])
-    _need(substeps >= 1, "substeps must be >= 1")
-    sinkhorn_iters = int(doc["sinkhorn_iters"])
-    _need(sinkhorn_iters >= 1, "sinkhorn_iters must be >= 1")
-    frames = int(doc.get("frames", 10))
-    _need(frames >= 2, "frames must be >= 2")
-    loss = str(doc.get("loss", "l2"))
-    _need(loss in _LOSSES, "loss must be one of %s" % (list(_LOSSES),))
-    lambda_c = float(doc.get("lambda_c", 0.0))
-    lambda_s = float(doc.get("lambda_s", 1.0))
-    _need(lambda_c >= 0 and lambda_s >= 0, "lambda_c and lambda_s must be >= 0")
-    seed = int(doc.get("seed", 0))
-    _need(seed >= 0, "seed must be >= 0")
-
-    lb = doc.get("lbfgs", {})
-    _need(isinstance(lb, dict), "lbfgs must be an object")
-    unknown = set(lb) - {"max_iters", "memory", "grad_tol", "line_search"}
-    _need(not unknown, "unknown lbfgs keys: %s" % ", ".join(sorted(unknown)))
-    ls = lb.get("line_search", {})
-    _need(isinstance(ls, dict), "line_search must be an object")
-    unknown = set(ls) - {"armijo", "shrink", "max_trials", "init_step"}
-    _need(not unknown, "unknown line_search keys: %s" % ", ".join(sorted(unknown)))
-    line_search = LineSearchConfig(
-        armijo=float(ls.get("armijo", 1e-4)),
-        shrink=float(ls.get("shrink", 0.5)),
-        max_trials=int(ls.get("max_trials", 40)),
-        init_step=float(ls.get("init_step", 1.0)),
-    )
-    _need(0 < line_search.armijo < 1, "armijo constant must be in (0, 1)")
-    _need(0 < line_search.shrink < 1, "shrink factor must be in (0, 1)")
-    _need(line_search.max_trials >= 1, "max_trials must be >= 1")
-    _need(line_search.init_step > 0, "init_step must be > 0")
-    lbfgs = LbfgsConfig(
-        max_iters=int(lb.get("max_iters", 500)),
-        memory=int(lb.get("memory", 10)),
-        grad_tol=float(lb.get("grad_tol", 1e-7)),
-        line_search=line_search,
-    )
-    _need(lbfgs.max_iters >= 1, "max_iters must be >= 1")
+    values = {**_values(LbfgsOptions, lb, "lbfgs."),
+              **_values(LbfgsOptions, ls, "lbfgs.line_search.")}
+    try:
+        lbfgs = LbfgsOptions(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _need(lbfgs.memory >= 1, "lbfgs memory must be >= 1")
-    _need(lbfgs.grad_tol > 0, "grad_tol must be > 0")
+    init = InitConfig(**_values(InitConfig, init_doc, "init."))
+    cfg = RunConfig(**_values(RunConfig, doc), lbfgs=lbfgs, init=init)
 
-    init_doc = doc.get("init", {})
-    _need(isinstance(init_doc, dict), "init must be an object")
-    unknown = set(init_doc) - {"mode", "low", "high"}
-    _need(not unknown, "unknown init keys: %s" % ", ".join(sorted(unknown)))
-    init = InitConfig(
-        mode=str(init_doc.get("mode", "constant")),
-        low=float(init_doc.get("low", 0.5)),
-        high=float(init_doc.get("high", 2.0)),
-    )
+    _need(cfg.d in (2, 3), "d must be 2 or 3, got %d" % cfg.d)
+    _need(cfg.n >= 2, "n must be >= 2")
+    _need(cfg.epsilon > 0, "epsilon must be > 0")
+    _need(cfg.substeps >= 1, "substeps must be >= 1")
+    _need(cfg.sinkhorn_iters >= 1, "sinkhorn_iters must be >= 1")
+    _need(cfg.frames >= 2, "frames must be >= 2")
+    _need(cfg.loss in LOSS_KINDS, "loss must be one of %s" % (list(LOSS_KINDS),))
+    _need(cfg.lambda_c >= 0 and cfg.lambda_s >= 0, "lambda_c and lambda_s must be >= 0")
+    _need(cfg.seed >= 0, "seed must be >= 0")
     _need(init.mode in ("constant", "log_uniform"), "init.mode must be constant or log_uniform")
     if init.mode == "log_uniform":
         _need(init.low > 0, "init.low must be > 0 for log_uniform")
         _need(init.high >= init.low, "init.high must be >= init.low")
-
-    return RunConfig(
-        d=d,
-        n=n,
-        epsilon=epsilon,
-        substeps=substeps,
-        sinkhorn_iters=sinkhorn_iters,
-        frames=frames,
-        loss=loss,
-        lambda_c=lambda_c,
-        lambda_s=lambda_s,
-        lbfgs=lbfgs,
-        init=init,
-        seed=seed,
-    )
+    return cfg
 
 
 def read_config(path) -> RunConfig:

@@ -6,6 +6,7 @@ import pytest
 from otgrid import cli
 from otgrid.color import read_ppm, write_ppm
 from otgrid.grids import GridSpec, constant_weights, save_weights
+from otgrid.lbfgs import LbfgsOptions
 from otgrid.tensorio import read_tensor, write_tensor
 
 
@@ -201,6 +202,36 @@ def test_unknown_config_key(tmp_path):
     pat = write_pattern(tmp_path / "p.json")
     assert run(["gen", "--config", cfg, "--pattern", pat,
                 "--out", tmp_path / "o"]) == 2
+
+
+def test_non_scalar_config_value_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "c.json", d=[2])
+    assert run(["interp", "--weights", tmp_path, "--from", tmp_path / "a.gmlt",
+                "--to", tmp_path / "b.gmlt", "--steps", 3, "--config", cfg,
+                "--out", tmp_path / "o"]) == 2
+
+
+def test_learn_passes_config_lbfgs_settings_to_minimize(workspace, monkeypatch):
+    root, _, pat = workspace
+    settings = {"max_iters": 2, "memory": 4, "grad_tol": 1e-9}
+    line_search = {"armijo": 1e-3, "shrink": 0.3, "max_trials": 9, "init_step": 0.7}
+    cfg = write_config(root / "c.json", lbfgs=dict(settings, line_search=line_search))
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    seen = []
+    real = cli.minimize
+
+    def spy(f, x0, opts=None, callback=None):
+        seen.append(opts)
+        return real(f, x0, opts, callback=callback)
+
+    monkeypatch.setattr(cli, "minimize", spy)
+    assert run(["learn", "--config", cfg, "--sequence", root / "truth",
+                "--out", root / "o"]) == 0
+    (opts,) = seen
+    defaults = LbfgsOptions()
+    for key, value in {**settings, **line_search}.items():
+        assert value != getattr(defaults, key), key
+        assert getattr(opts, key) == value, key
 
 
 def test_corrupt_tensor_is_format_error(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ def test_truncated_header_rejected(tmp_path):
         read_tensor(p)
 
 
+def test_zero_dimensional_tensor_rejected(tmp_path):
+    p = tmp_path / "x.gmlt"
+    # a well-formed header with ndim 0, followed by one float64
+    p.write_bytes(b"GMLT" + struct.pack("<IBB", 1, 0, 0) + struct.pack("<d", 3.5))
+    with pytest.raises(TensorFormatError):
+        read_tensor(p)
+
+
 def test_unsupported_version_rejected(tmp_path):
     p = tmp_path / "x.gmlt"
     write_tensor(p, np.ones(2))
@@ -99,9 +108,9 @@ def test_minimal_config_defaults():
     assert cfg.lbfgs.max_iters == 500
     assert cfg.lbfgs.memory == 10
     assert cfg.lbfgs.grad_tol == 1e-7
-    assert cfg.lbfgs.line_search.armijo == 1e-4
-    assert cfg.lbfgs.line_search.shrink == 0.5
-    assert cfg.lbfgs.line_search.max_trials == 40
+    assert cfg.lbfgs.armijo == 1e-4
+    assert cfg.lbfgs.shrink == 0.5
+    assert cfg.lbfgs.max_trials == 40
     assert cfg.init.mode == "constant"
 
 
@@ -142,6 +151,13 @@ def test_missing_required_key_rejected(key):
         {"lbfgs": {"memory": 0}},
         {"lbfgs": {"max_iters": 0}},
         {"lbfgs": {"line_search": {"shrink": 1.0}}},
+        {"lbfgs": {"grad_tol": 0}},
+        {"lbfgs": {"line_search": {"armijo": 1.0}}},
+        {"lbfgs": {"line_search": {"max_trials": 0}}},
+        {"lbfgs": {"line_search": {"init_step": 0}}},
+        {"d": [2]},
+        {"frames": {}},
+        {"lbfgs": {"max_iters": None}},
         {"init": {"mode": "foo"}},
         {"init": {"mode": "log_uniform", "low": -1.0}},
         {"init": {"mode": "log_uniform", "low": 2.0, "high": 1.0}},
@@ -161,8 +177,8 @@ def test_nested_overrides_applied():
     doc["loss"] = "kl"
     cfg = parse_config(doc)
     assert cfg.lbfgs.max_iters == 33
-    assert cfg.lbfgs.line_search.max_trials == 7
-    assert cfg.lbfgs.line_search.shrink == 0.5  # untouched default
+    assert cfg.lbfgs.max_trials == 7
+    assert cfg.lbfgs.shrink == 0.5  # untouched default
     assert cfg.init.mode == "log_uniform"
     assert cfg.loss == "kl"
 
