@@ -22,8 +22,8 @@ from .diffusion import assemble
 from .grids import GridSpec, edge_count, load_weights, save_weights
 from .lbfgs import minimize
 from .objective import Objective, evaluate_with_grad, load_sequence, save_sequence
-from .synthetic import MetricPattern, forward_sequence, gaussian, render_metric
-from .tensorio import ConfigError, RunConfig, TensorFormatError, read_config
+from .synthetic import MetricPattern, coords, forward_sequence, gaussian, render_metric
+from .tensorio import ConfigError, RunConfig, TensorFormatError, read_config, scalar_value
 
 
 class UsageError(ValueError):
@@ -74,13 +74,15 @@ def cmd_gen(args) -> int:
         raise ConfigError("%s: pattern root must be an object" % args.pattern)
     doc = dict(doc)
     endpoints = doc.pop("endpoints", {}) or {}
+    if not isinstance(endpoints, dict):
+        raise ConfigError("%s: endpoints must be an object" % args.pattern)
+    sigma = scalar_value(float, endpoints.get("sigma", 1.5), "endpoints.sigma")
     pattern = MetricPattern.from_dict(doc)
     w = render_metric(spec, pattern)
 
     d_start, d_stop = _default_endpoints(spec)
-    sigma = float(endpoints.get("sigma", 1.5))
-    r0 = gaussian(spec, endpoints.get("start", d_start), sigma)
-    r1 = gaussian(spec, endpoints.get("stop", d_stop), sigma)
+    r0 = gaussian(spec, coords(endpoints.get("start", d_start), "endpoints.start"), sigma)
+    r1 = gaussian(spec, coords(endpoints.get("stop", d_stop), "endpoints.stop"), sigma)
     seq = forward_sequence(
         spec, w, r0, r1, cfg.frames, cfg.epsilon, cfg.substeps, cfg.sinkhorn_iters
     )

@@ -152,44 +152,78 @@ def apply_color_map(img, tmap, n: int) -> np.ndarray:
     return out.reshape(img.shape)
 
 
-def _bilateral_float(imgf, spatial_sigma, range_sigma, guidef):
-    h, w = imgf.shape[:2]
+def _bilateral_float(img, spatial_sigma, range_sigma, guide):
+    """Bilateral filter of (C, h, w) float planes; range weights from ``guide``.
+
+    Shifts s and -s give the same weight (the squared guide difference is
+    symmetric), so each pair is computed once and added to both of its
+    ends.  Every temporary is a view of a buffer allocated before the loop.
+    """
+    h, w = img.shape[1:]
     radius = int(math.ceil(3.0 * spatial_sigma))
-    acc = np.zeros_like(imgf)
-    wacc = np.zeros((h, w))
-    for dy in range(-radius, radius + 1):
-        if abs(dy) >= h:  # shift has no overlap; a negative stop would wrap
-            continue
-        for dx in range(-radius, radius + 1):
-            if abs(dx) >= w:
-                continue
-            sw = math.exp(-(dx * dx + dy * dy) / (2.0 * spatial_sigma**2))
-            ys_dst = slice(max(0, -dy), h - max(0, dy))
-            ys_src = slice(max(0, dy), h - max(0, -dy))
-            xs_dst = slice(max(0, -dx), w - max(0, dx))
-            xs_src = slice(max(0, dx), w - max(0, -dx))
-            gdiff = np.sum(
-                (guidef[ys_dst, xs_dst] - guidef[ys_src, xs_src]) ** 2, axis=-1
-            )
-            wgt = sw * np.exp(-gdiff / (2.0 * range_sigma**2))
-            acc[ys_dst, xs_dst] += wgt[..., None] * imgf[ys_src, xs_src]
-            wacc[ys_dst, xs_dst] += wgt
-    return acc / wacc[..., None]
+    ry, rx = min(radius, h - 1), min(radius, w - 1)  # beyond these, no overlap
+    inv_s = 1.0 / (2.0 * spatial_sigma**2)
+    neg_inv_r = -1.0 / (2.0 * range_sigma**2)
+    acc = img.copy()  # the zero shift, weight 1
+    wacc = np.ones((h, w))
+    # flat buffers, so that each shift's temporaries are contiguous views
+    wbuf = np.empty(h * w)
+    tbuf = np.empty(h * w)
+    for dy in range(ry + 1):
+        for dx in range(-rx if dy else 1, rx + 1):
+            # pixel a = (y, x) pairs with b = (y + dy, x + dx)
+            ya, yb = slice(0, h - dy), slice(dy, h)
+            xa, xb = slice(max(0, -dx), w - max(0, dx)), slice(max(0, dx), w - max(0, -dx))
+            shape = (h - dy, w - abs(dx))
+            wgt = wbuf[: shape[0] * shape[1]].reshape(shape)
+            tmp = tbuf[: shape[0] * shape[1]].reshape(shape)
+            wgt.fill(0.0)
+            for plane in guide:
+                np.subtract(plane[ya, xa], plane[yb, xb], out=tmp)
+                np.multiply(tmp, tmp, out=tmp)
+                wgt += tmp
+            np.multiply(wgt, neg_inv_r, out=wgt)
+            wgt -= (dx * dx + dy * dy) * inv_s
+            np.exp(wgt, out=wgt)
+            wacc[ya, xa] += wgt
+            wacc[yb, xb] += wgt
+            for k, plane in enumerate(img):
+                np.multiply(wgt, plane[yb, xb], out=tmp)
+                acc[k, ya, xa] += tmp
+                np.multiply(wgt, plane[ya, xa], out=tmp)
+                acc[k, yb, xb] += tmp
+    acc /= wacc
+    return acc
+
+
+def _planes(img) -> np.ndarray:
+    """(h, w, C) 8-bit image as contiguous (C, h, w) float planes in [0, 1]."""
+    planes = np.ascontiguousarray(np.moveaxis(img, -1, 0), dtype=np.float64)
+    planes /= 255.0
+    return planes
 
 
 def bilateral_smooth(img, spatial_sigma: float = 3.0, range_sigma: float = 0.1,
                      guide=None) -> np.ndarray:
-    """Edge-preserving smoothing; range weights come from ``guide`` if given.
+    """Edge-preserving smoothing of an (h, w, C) image; range weights from ``guide``.
 
     Guiding by the pre-transfer image suppresses quantization banding that
     the color map introduces, without blurring across the original edges.
     """
-    if spatial_sigma <= 0 or range_sigma <= 0:
-        raise ValueError("sigmas must be > 0")
+    spatial_sigma, range_sigma = float(spatial_sigma), float(range_sigma)
+    if not (0 < spatial_sigma < math.inf and 0 < range_sigma < math.inf):
+        raise ValueError("sigmas must be finite and > 0")  # NaN fails here too
     img = np.asarray(img)
-    imgf = img.astype(np.float64) / 255.0
-    guidef = imgf if guide is None else np.asarray(guide).astype(np.float64) / 255.0
-    if guidef.shape != imgf.shape:
-        raise ValueError("guide image must match the input size")
-    out = _bilateral_float(imgf, float(spatial_sigma), float(range_sigma), guidef)
-    return np.clip(np.rint(out * 255.0), 0, 255).astype(np.uint8)
+    if img.ndim != 3:
+        raise ValueError("image must be (h, w, C), got shape %r" % (img.shape,))
+    if guide is not None:
+        guide = np.asarray(guide)
+        if guide.shape != img.shape:
+            raise ValueError("guide image must match the input size")
+    planes = _planes(img)
+    out = _bilateral_float(planes, spatial_sigma, range_sigma,
+                           planes if guide is None else _planes(guide))
+    out *= 255.0
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1), dtype=np.uint8)

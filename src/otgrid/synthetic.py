@@ -18,6 +18,7 @@ from .barycenter import interpolate
 from .diffusion import assemble
 from .grids import GridSpec, field_shape, flatten_fields
 from .objective import Sequence, default_timestamps
+from .tensorio import ConfigError, scalar_value
 
 
 def dirac(spec: GridSpec, vertex) -> np.ndarray:
@@ -50,6 +51,13 @@ def gaussian(spec: GridSpec, center, sigma: float) -> np.ndarray:
     return h / h.sum()
 
 
+def coords(value, key) -> tuple:
+    """A JSON list of numbers (a point or a box corner) as a tuple of floats."""
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list of numbers, got %r" % (key, value))
+    return tuple(scalar_value(float, v, "%s[%d]" % (key, j)) for j, v in enumerate(value))
+
+
 @dataclass(frozen=True)
 class Region:
     """A box (lo/hi corners, inclusive) or disk (center/radius) weight zone."""
@@ -71,23 +79,26 @@ class MetricPattern:
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricPattern":
-        regions = []
-        for r in doc.get("regions", []):
-            regions.append(
+        """Pattern from its JSON object; a value of the wrong type is a ConfigError."""
+        regions = doc.get("regions", [])
+        if not isinstance(regions, list) or not all(isinstance(r, dict) for r in regions):
+            raise ConfigError("regions must be a list of objects")
+        return MetricPattern(
+            base=scalar_value(float, doc.get("base", 1.0), "base"),
+            regions=tuple(
                 Region(
-                    factor=float(r["factor"]),
+                    factor=scalar_value(float, r.get("factor"), "regions[%d].factor" % i),
                     shape=str(r.get("shape", "box")),
                     axes=r.get("axes", "all"),
-                    lo=tuple(r.get("lo", ())),
-                    hi=tuple(r.get("hi", ())),
-                    center=tuple(r.get("center", ())),
-                    radius=float(r.get("radius", 0.0)),
+                    lo=coords(r.get("lo", []), "regions[%d].lo" % i),
+                    hi=coords(r.get("hi", []), "regions[%d].hi" % i),
+                    center=coords(r.get("center", []), "regions[%d].center" % i),
+                    radius=scalar_value(float, r.get("radius", 0.0),
+                                        "regions[%d].radius" % i),
                 )
-            )
-        return MetricPattern(
-            base=float(doc.get("base", 1.0)),
-            regions=tuple(regions),
-            smooth_radius=int(doc.get("smooth_radius", 0)),
+                for i, r in enumerate(regions)
+            ),
+            smooth_radius=scalar_value(int, doc.get("smooth_radius", 0), "smooth_radius"),
         )
 
 

@@ -156,9 +156,15 @@ def _object(doc, name, keys) -> dict:
     return doc
 
 
-def _scalar(kind, value, key):
-    """Cast one config value to ``kind`` (int, float or str)."""
-    if not isinstance(value, (int, float, str)):
+def scalar_value(kind, value, key):
+    """Cast one JSON value to ``kind`` (int, float or str); ``key`` names it in errors.
+
+    A number field takes no JSON boolean, and an int field no fractional
+    number, so that neither is silently converted.
+    """
+    if (not isinstance(value, (int, float, str))
+            or (kind is not str and isinstance(value, bool))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigError("%s must be of type %s, got %s"
                           % (key, kind.__name__, json.dumps(value)))
     try:
@@ -171,7 +177,7 @@ def _values(cls, doc, prefix="") -> dict:
     """The entries of ``doc`` that set scalar fields of ``cls``, cast to their types."""
     hints = get_type_hints(cls)
     return {
-        key: _scalar(hints[key], value, prefix + key)
+        key: scalar_value(hints[key], value, prefix + key)
         for key, value in doc.items()
         if hints.get(key) in (int, float, str)
     }

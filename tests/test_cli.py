@@ -211,6 +211,25 @@ def test_non_scalar_config_value_is_config_error(tmp_path):
                 "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"base": [1.0]}, "base"),
+    ({"endpoints": {"sigma": [1.5]}}, "endpoints.sigma"),
+    ({"endpoints": [[0, 0], [5, 5]]}, "endpoints"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": [1]}]},
+     "regions[0].radius"),
+    ({"regions": [{"shape": "box", "lo": [2, 2], "hi": [3, 3]}]}, "regions[0].factor"),
+    ({"regions": {"factor": 0.2}}, "regions"),
+    ({"smooth_radius": 1.5}, "smooth_radius"),
+    ({"regions": [{"factor": 0.2, "lo": 2, "hi": [3, 3]}]}, "regions[0].lo"),
+    ({"endpoints": {"start": {"x": 1}}}, "endpoints.start"),
+])
+def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path / "c.json")
+    pat = write_pattern(tmp_path / "p.json", **overrides)
+    assert run(["gen", "--config", cfg, "--pattern", pat, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_learn_passes_config_lbfgs_settings_to_minimize(workspace, monkeypatch):
     root, _, pat = workspace
     settings = {"max_iters": 2, "memory": 4, "grad_tol": 1e-9}

@@ -235,11 +235,18 @@ def brute_force_bilateral(imgf, ss, sr, guidef):
     return out
 
 
+def plane_bilateral(imgf, ss, sr, guidef=None):
+    """``_bilateral_float`` on (h, w, C) arrays; no guide reuses the image planes."""
+    img = np.ascontiguousarray(np.moveaxis(imgf, -1, 0))
+    guide = img if guidef is None else np.ascontiguousarray(np.moveaxis(guidef, -1, 0))
+    return np.moveaxis(_bilateral_float(img, ss, sr, guide), 0, -1)
+
+
 def test_bilateral_matches_brute_force():
     rng = np.random.default_rng(6)
     imgf = rng.uniform(size=(6, 5, 3))
     guidef = rng.uniform(size=(6, 5, 3))
-    out = _bilateral_float(imgf, 1.0, 0.2, guidef)
+    out = plane_bilateral(imgf, 1.0, 0.2, guidef)
     ref = brute_force_bilateral(imgf, 1.0, 0.2, guidef)
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -248,9 +255,36 @@ def test_bilateral_constant_guide_is_plain_blur():
     rng = np.random.default_rng(7)
     imgf = rng.uniform(size=(5, 5, 3))
     guidef = np.full((5, 5, 3), 0.5)
-    out = _bilateral_float(imgf, 0.8, 0.1, guidef)
+    out = plane_bilateral(imgf, 0.8, 0.1, guidef)
     ref = brute_force_bilateral(imgf, 0.8, 0.1, guidef)
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, spatial_sigma", [
+    ((4, 7, 3), 2.0),  # radius 6 exceeds both sides
+    ((1, 9, 3), 1.0),
+    ((9, 1, 3), 1.0),
+    ((1, 1, 3), 1.0),
+    ((5, 6, 1), 1.0),
+    ((5, 6, 4), 1.0),
+])
+def test_bilateral_matches_brute_force_on_edge_shapes(shape, spatial_sigma):
+    rng = np.random.default_rng(9)
+    imgf = rng.uniform(size=shape)
+    guidef = rng.uniform(size=shape)
+    out = plane_bilateral(imgf, spatial_sigma, 0.3, guidef)
+    ref = brute_force_bilateral(imgf, spatial_sigma, 0.3, guidef)
+    np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def test_bilateral_without_guide_is_self_guided():
+    rng = np.random.default_rng(10)
+    img = rng.integers(0, 256, (6, 7, 3), dtype=np.uint8)
+    imgf = img / 255.0
+    ref = brute_force_bilateral(imgf, 1.0, 0.2, imgf)
+    np.testing.assert_allclose(plane_bilateral(imgf, 1.0, 0.2), ref, atol=1e-12)
+    expect = np.clip(np.rint(ref * 255.0), 0, 255).astype(np.uint8)
+    np.testing.assert_array_equal(bilateral_smooth(img, 1.0, 0.2), expect)
 
 
 def test_bilateral_preserves_strong_edges():
@@ -276,3 +310,18 @@ def test_bilateral_guide_shape_check():
         bilateral_smooth(img, guide=np.zeros((5, 5, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         bilateral_smooth(img, spatial_sigma=0.0)
+
+
+@pytest.mark.parametrize("sigmas", [
+    (math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1),
+    (3.0, math.nan), (3.0, math.inf), (3.0, 0.0),
+])
+def test_bilateral_rejects_bad_sigmas(sigmas):
+    with pytest.raises(ValueError, match="sigmas"):
+        bilateral_smooth(np.zeros((4, 4, 3), dtype=np.uint8), *sigmas)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 4, 3)])
+def test_bilateral_rejects_non_image_arrays(shape):
+    with pytest.raises(ValueError, match="image must be"):
+        bilateral_smooth(np.zeros(shape, dtype=np.uint8))

@@ -158,6 +158,12 @@ def test_missing_required_key_rejected(key):
         {"d": [2]},
         {"frames": {}},
         {"lbfgs": {"max_iters": None}},
+        {"n": 6.9},
+        {"sinkhorn_iters": 2.5},
+        {"n": float("inf")},
+        {"substeps": True},
+        {"lbfgs": {"line_search": {"max_trials": False}}},
+        {"epsilon": True},
         {"init": {"mode": "foo"}},
         {"init": {"mode": "log_uniform", "low": -1.0}},
         {"init": {"mode": "log_uniform", "low": 2.0, "high": 1.0}},
@@ -168,6 +174,14 @@ def test_invalid_values_rejected(patch):
     doc.update(patch)
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+def test_whole_float_accepted_for_int_field():
+    doc = minimal_doc()
+    doc.update(n=8.0, sinkhorn_iters=3.0)
+    cfg = parse_config(doc)
+    assert (cfg.n, cfg.sinkhorn_iters) == (8, 3)
+    assert type(cfg.n) is int
 
 
 def test_nested_overrides_applied():
