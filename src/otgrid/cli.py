@@ -11,7 +11,6 @@ problem.  argparse's own usage failures also exit with 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -22,8 +21,9 @@ from .diffusion import assemble
 from .grids import GridSpec, edge_count, load_weights, save_weights
 from .lbfgs import minimize
 from .objective import Objective, evaluate_with_grad, load_sequence, save_sequence
-from .synthetic import MetricPattern, coords, forward_sequence, gaussian, render_metric
-from .tensorio import ConfigError, RunConfig, TensorFormatError, read_config, scalar_value
+from .synthetic import MetricPattern, forward_sequence, render_metric
+from .tensorio import (ConfigError, RunConfig, TensorFormatError, parse_object, read_config,
+                       read_json)
 
 
 class UsageError(ValueError):
@@ -32,14 +32,6 @@ class UsageError(ValueError):
 
 def _grid_of(cfg: RunConfig) -> GridSpec:
     return GridSpec((cfg.n,) * cfg.d)
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def _load_histogram(path, spec: GridSpec) -> np.ndarray:
@@ -57,32 +49,12 @@ def _load_histogram(path, spec: GridSpec) -> np.ndarray:
     return h / total
 
 
-def _default_endpoints(spec: GridSpec):
-    mid = [(n - 1) / 2.0 for n in spec.dims]
-    start = list(mid)
-    stop = list(mid)
-    start[-1] = 0.0
-    stop[-1] = spec.dims[-1] - 1.0
-    return start, stop
-
-
 def cmd_gen(args) -> int:
     cfg = read_config(args.config)
     spec = _grid_of(cfg)
-    doc = _load_json(args.pattern)
-    if not isinstance(doc, dict):
-        raise ConfigError("%s: pattern root must be an object" % args.pattern)
-    doc = dict(doc)
-    endpoints = doc.pop("endpoints", {}) or {}
-    if not isinstance(endpoints, dict):
-        raise ConfigError("%s: endpoints must be an object" % args.pattern)
-    sigma = scalar_value(float, endpoints.get("sigma", 1.5), "endpoints.sigma")
-    pattern = MetricPattern.from_dict(doc)
+    pattern = parse_object(MetricPattern, read_json(args.pattern))
     w = render_metric(spec, pattern)
-
-    d_start, d_stop = _default_endpoints(spec)
-    r0 = gaussian(spec, coords(endpoints.get("start", d_start), "endpoints.start"), sigma)
-    r1 = gaussian(spec, coords(endpoints.get("stop", d_stop), "endpoints.stop"), sigma)
+    r0, r1 = pattern.endpoints.histograms(spec)
     seq = forward_sequence(
         spec, w, r0, r1, cfg.frames, cfg.epsilon, cfg.substeps, cfg.sinkhorn_iters
     )

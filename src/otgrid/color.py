@@ -115,13 +115,12 @@ def barycentric_map(op, a: ColorHistogram, b: ColorHistogram, iters: int):
     aflat = a.mass.ravel()
     bflat = b.mass.ravel()
     u, v = sinkhorn_scalings(op, aflat, bflat, iters)
-    den = u * op.apply(v)[0]
-    centers = bin_centers(n)
+    # denominator and the three numerators as one column block
+    block = u[:, None] * op.apply(np.column_stack([v, v[:, None] * bin_centers(n)]))[0]
+    den = block[:, 0]
     defined = (aflat > 0) & (den > DIVIDE_FLOOR)
     tmap = np.zeros((n**3, 3))
-    for c in range(3):
-        num = u * op.apply(v * centers[:, c])[0]
-        tmap[defined, c] = num[defined] / den[defined]
+    tmap[defined] = block[defined, 1:] / den[defined, None]
     return tmap.reshape(n, n, n, 3), defined.reshape(n, n, n)
 
 

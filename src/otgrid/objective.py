@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -205,6 +205,15 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
 # --- sequence files ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """The ``manifest.json`` of a sequence directory."""
+
+    dims: tuple[int, ...]
+    frames: tuple[str, ...]  # file names, one per frame
+    timestamps: tuple[float, ...]
+
+
 def save_sequence(dirpath, spec: GridSpec, seq: Sequence) -> None:
     """One GMLT tensor per frame (grid-shaped) plus a manifest."""
     os.makedirs(dirpath, exist_ok=True)
@@ -214,27 +223,23 @@ def save_sequence(dirpath, spec: GridSpec, seq: Sequence) -> None:
         tensorio.write_tensor(os.path.join(dirpath, name),
                               seq.frames[i].reshape(spec.dims))
         names.append(name)
-    manifest = {
-        "dims": list(spec.dims),
-        "frames": names,
-        "timestamps": [float(t) for t in seq.timestamps],
-    }
+    manifest = Manifest(spec.dims, tuple(names), tuple(float(t) for t in seq.timestamps))
     with open(os.path.join(dirpath, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump(asdict(manifest), fh, indent=1)
         fh.write("\n")
 
 
 def load_sequence(dirpath):
     """Read a sequence directory back; returns (GridSpec, Sequence)."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = GridSpec(tuple(int(n) for n in manifest["dims"]))
+    manifest = tensorio.parse_object(
+        Manifest, tensorio.read_json(os.path.join(dirpath, "manifest.json")))
+    spec = GridSpec(manifest.dims)
     frames = []
-    for name in manifest["frames"]:
+    for name in manifest.frames:
         t = tensorio.read_tensor(os.path.join(dirpath, name))
         if t.shape != spec.dims:
             raise ValueError("frame %s has shape %r, expected %r"
                              % (name, t.shape, spec.dims))
         frames.append(t.ravel())
-    seq = Sequence(np.stack(frames), np.asarray(manifest["timestamps"], dtype=np.float64))
+    seq = Sequence(np.stack(frames), np.asarray(manifest.timestamps, dtype=np.float64))
     return spec, seq

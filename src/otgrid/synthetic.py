@@ -9,7 +9,7 @@ axis-1 field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -18,7 +18,7 @@ from .barycenter import interpolate
 from .diffusion import assemble
 from .grids import GridSpec, field_shape, flatten_fields
 from .objective import Sequence, default_timestamps
-from .tensorio import ConfigError, scalar_value
+from .tensorio import ConfigError
 
 
 def dirac(spec: GridSpec, vertex) -> np.ndarray:
@@ -51,67 +51,75 @@ def gaussian(spec: GridSpec, center, sigma: float) -> np.ndarray:
     return h / h.sum()
 
 
-def coords(value, key) -> tuple:
-    """A JSON list of numbers (a point or a box corner) as a tuple of floats."""
-    if not isinstance(value, list):
-        raise ConfigError("%s must be a list of numbers, got %r" % (key, value))
-    return tuple(scalar_value(float, v, "%s[%d]" % (key, j)) for j, v in enumerate(value))
-
-
 @dataclass(frozen=True)
 class Region:
     """A box (lo/hi corners, inclusive) or disk (center/radius) weight zone."""
 
     factor: float
     shape: str = "box"  # box | disk
-    axes: object = "all"  # all | horizontal | vertical | tuple of axis ints
-    lo: tuple = ()
-    hi: tuple = ()
-    center: tuple = ()
+    axes: str | tuple[int, ...] = "all"  # all | horizontal | vertical | axis numbers
+    lo: tuple[float, ...] = ()
+    hi: tuple[float, ...] = ()
+    center: tuple[float, ...] = ()
     radius: float = 0.0
 
 
 @dataclass(frozen=True)
+class Endpoints:
+    """The Gaussian blobs that a generated sequence runs between.
+
+    An end left out lies mid-grid on every axis but the last, where
+    ``start`` lies at 0 and ``stop`` at the far side.
+    """
+
+    sigma: float = 1.5
+    start: tuple[float, ...] | None = None
+    stop: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError("sigma must be > 0")
+
+    def histograms(self, spec: GridSpec):
+        """The start and stop blobs on ``spec``; a bad end is a ConfigError naming it."""
+        mid = tuple((n - 1) / 2.0 for n in spec.dims[:-1])
+        start = mid + (0.0,) if self.start is None else self.start
+        stop = mid + (spec.dims[-1] - 1.0,) if self.stop is None else self.stop
+        return _blob(spec, start, self.sigma, "start"), _blob(spec, stop, self.sigma, "stop")
+
+
+def _blob(spec: GridSpec, center, sigma: float, name: str) -> np.ndarray:
+    try:
+        return gaussian(spec, center, sigma)
+    except ValueError as exc:
+        raise ConfigError("endpoints.%s: %s" % (name, exc)) from exc
+
+
+@dataclass(frozen=True)
 class MetricPattern:
+    """A gen pattern file: the metric, and the sequence's end blobs."""
+
     base: float = 1.0
-    regions: tuple = ()
+    regions: tuple[Region, ...] = ()
     smooth_radius: int = 0
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MetricPattern":
-        """Pattern from its JSON object; a value of the wrong type is a ConfigError."""
-        regions = doc.get("regions", [])
-        if not isinstance(regions, list) or not all(isinstance(r, dict) for r in regions):
-            raise ConfigError("regions must be a list of objects")
-        return MetricPattern(
-            base=scalar_value(float, doc.get("base", 1.0), "base"),
-            regions=tuple(
-                Region(
-                    factor=scalar_value(float, r.get("factor"), "regions[%d].factor" % i),
-                    shape=str(r.get("shape", "box")),
-                    axes=r.get("axes", "all"),
-                    lo=coords(r.get("lo", []), "regions[%d].lo" % i),
-                    hi=coords(r.get("hi", []), "regions[%d].hi" % i),
-                    center=coords(r.get("center", []), "regions[%d].center" % i),
-                    radius=scalar_value(float, r.get("radius", 0.0),
-                                        "regions[%d].radius" % i),
-                )
-                for i, r in enumerate(regions)
-            ),
-            smooth_radius=scalar_value(int, doc.get("smooth_radius", 0), "smooth_radius"),
-        )
+    endpoints: Endpoints = field(default_factory=Endpoints)
 
 
-def _axes_of(region: Region, d: int):
-    if region.axes == "all":
-        return tuple(range(d))
-    if region.axes == "horizontal":
-        if d < 2:
-            raise ValueError("'horizontal' needs a grid with at least 2 axes")
-        return (1,)
-    if region.axes == "vertical":
-        return (0,)
-    return tuple(int(a) for a in region.axes)
+def _axes_of(region: Region, d: int, key: str) -> tuple:
+    """The weight fields a region acts on, once its shape and coordinates check out."""
+    if region.shape not in ("box", "disk"):
+        raise ConfigError("%s.shape must be box or disk, got %r" % (key, region.shape))
+    for name in ("lo", "hi") if region.shape == "box" else ("center",):
+        count = len(getattr(region, name))
+        if count != d:
+            raise ConfigError("%s.%s must have %d numbers, got %d" % (key, name, d, count))
+    axes = region.axes
+    if isinstance(axes, str):
+        axes = {"all": tuple(range(d)), "horizontal": (1,), "vertical": (0,)}.get(axes, axes)
+    if isinstance(axes, str) or not all(0 <= a < d for a in axes):
+        raise ConfigError("%s.axes must be all, horizontal, vertical or axis numbers below %d,"
+                          " got %r" % (key, d, region.axes))
+    return axes
 
 
 def _region_mask(region: Region, midpoints) -> np.ndarray:
@@ -122,31 +130,30 @@ def _region_mask(region: Region, midpoints) -> np.ndarray:
         for a, m in enumerate(midpoints):
             mask &= (m >= lo[a]) & (m <= hi[a])
         return mask
-    if region.shape == "disk":
-        center = np.asarray(region.center, dtype=np.float64)
-        sq = np.zeros(midpoints[0].shape)
-        for a, m in enumerate(midpoints):
-            sq += (m - center[a]) ** 2
-        return sq <= region.radius**2
-    raise ValueError("unknown region shape %r" % (region.shape,))
+    center = np.asarray(region.center, dtype=np.float64)
+    sq = np.zeros(midpoints[0].shape)
+    for a, m in enumerate(midpoints):
+        sq += (m - center[a]) ** 2
+    return sq <= region.radius**2
 
 
 def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
     """Turn a pattern description into a strictly positive weight vector."""
     if pattern.base <= 0:
-        raise ValueError("base weight must be > 0")
-    for region in pattern.regions:
+        raise ConfigError("base must be > 0")
+    axes = []
+    for i, region in enumerate(pattern.regions):
         if region.factor <= 0:
-            raise ValueError("region factors must be > 0")
+            raise ConfigError("regions[%d].factor must be > 0" % i)
+        axes.append(_axes_of(region, spec.d, "regions[%d]" % i))
     fields = []
     for a in range(spec.d):
         f = np.full(field_shape(spec, a), float(pattern.base))
         mid = np.indices(f.shape, dtype=np.float64)
         mid[a] += 0.5
-        for region in pattern.regions:
-            if a not in _axes_of(region, spec.d):
-                continue
-            f[_region_mask(region, mid)] *= region.factor
+        for region, region_axes in zip(pattern.regions, axes):
+            if a in region_axes:
+                f[_region_mask(region, mid)] *= region.factor
         if pattern.smooth_radius > 0:
             f = uniform_filter(f, size=2 * pattern.smooth_radius + 1, mode="nearest")
         fields.append(f)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import MISSING, dataclass, field, fields
-from typing import get_type_hints
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,23 +30,7 @@ DTYPE_F64 = 0
 
 
 class TensorFormatError(Exception):
-    """Base class for malformed tensor files."""
-
-
-class BadMagicError(TensorFormatError):
-    pass
-
-
-class UnsupportedVersionError(TensorFormatError):
-    pass
-
-
-class UnsupportedDtypeError(TensorFormatError):
-    pass
-
-
-class TruncatedDataError(TensorFormatError):
-    pass
+    """A malformed tensor file."""
 
 
 class ConfigError(ValueError):
@@ -76,27 +61,27 @@ def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
-        raise BadMagicError("%s: not a GMLT file (magic %r)" % (path, raw[:4]))
+        raise TensorFormatError("%s: not a GMLT file (magic %r)" % (path, raw[:4]))
     if len(raw) < 10:
-        raise TruncatedDataError("%s: truncated header" % (path,))
+        raise TensorFormatError("%s: truncated header" % (path,))
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
-        raise UnsupportedVersionError("%s: unsupported version %d" % (path, version))
+        raise TensorFormatError("%s: unsupported version %d" % (path, version))
     dtype_code, ndim = struct.unpack_from("<BB", raw, 8)
     if dtype_code != DTYPE_F64:
-        raise UnsupportedDtypeError("%s: unsupported dtype code %d" % (path, dtype_code))
+        raise TensorFormatError("%s: unsupported dtype code %d" % (path, dtype_code))
     if ndim == 0:
         raise TensorFormatError("%s: zero-dimensional tensor" % (path,))
     header_end = 10 + 8 * ndim
     if len(raw) < header_end:
-        raise TruncatedDataError("%s: truncated dimension list" % (path,))
+        raise TensorFormatError("%s: truncated dimension list" % (path,))
     dims = struct.unpack_from("<%dQ" % ndim, raw, 10)
     if any(n == 0 for n in dims):
         raise TensorFormatError("%s: zero-sized dimension" % (path,))
     count = int(np.prod(dims, dtype=np.int64))
     expected = header_end + 8 * count
     if len(raw) < expected:
-        raise TruncatedDataError(
+        raise TensorFormatError(
             "%s: file has %d bytes, expected %d" % (path, len(raw), expected)
         )
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=header_end)
@@ -106,14 +91,21 @@ def read_tensor(path) -> np.ndarray:
     return arr
 
 
-# --- run configuration -------------------------------------------------
+# --- JSON inputs ----------------------------------------------------------
 #
-# Every config key is the name of a field below or of an LbfgsOptions field,
-# and every default is that field's default.  The L-BFGS settings sit under
-# "lbfgs", the line-search ones one level further, under "lbfgs.line_search".
+# Every JSON input (the run config, a gen pattern, a sequence manifest) is
+# read by ``parse_object`` into a dataclass: the keys are its field names,
+# the defaults its field defaults, and each value is cast by its field's
+# type.  LbfgsOptions is flat, but in a run config its line-search fields
+# sit one level further down, under "lbfgs.line_search".
 
 LOSS_KINDS = ("l1", "l2", "kl")
-_LINE_SEARCH = ("armijo", "shrink", "max_trials", "init_step")
+_GROUPS = {LbfgsOptions: {"line_search": ("armijo", "shrink", "max_trials", "init_step")}}
+
+
+def _need(cond, msg):
+    if not cond:
+        raise ConfigError(msg)
 
 
 @dataclass(frozen=True)
@@ -121,6 +113,12 @@ class InitConfig:
     mode: str = "constant"  # constant | log_uniform
     low: float = 0.5
     high: float = 2.0
+
+    def __post_init__(self):
+        _need(self.mode in ("constant", "log_uniform"), "mode must be constant or log_uniform")
+        if self.mode == "log_uniform":
+            _need(self.low > 0, "low must be > 0 for log_uniform")
+            _need(self.high >= self.low, "high must be >= low")
 
 
 @dataclass(frozen=True)
@@ -138,95 +136,111 @@ class RunConfig:
     init: InitConfig = field(default_factory=InitConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        _need(self.d in (2, 3), "d must be 2 or 3, got %d" % self.d)
+        _need(self.n >= 2, "n must be >= 2")
+        _need(self.epsilon > 0, "epsilon must be > 0")
+        _need(self.substeps >= 1, "substeps must be >= 1")
+        _need(self.sinkhorn_iters >= 1, "sinkhorn_iters must be >= 1")
+        _need(self.frames >= 2, "frames must be >= 2")
+        _need(self.loss in LOSS_KINDS, "loss must be one of %s" % (list(LOSS_KINDS),))
+        _need(self.lambda_c >= 0 and self.lambda_s >= 0, "lambda_c and lambda_s must be >= 0")
+        _need(self.lbfgs.memory >= 1, "lbfgs.memory must be >= 1")
+        _need(self.seed >= 0, "seed must be >= 0")
 
-def _need(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
+
+def _path(key, name):
+    return "%s.%s" % (key, name) if key else name
 
 
-def _names(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
-def _object(doc, name, keys) -> dict:
-    """Check that ``doc`` is a JSON object whose keys all lie in ``keys``."""
-    _need(isinstance(doc, dict), "%s must be an object" % name)
-    unknown = set(doc) - set(keys)
-    _need(not unknown, "unknown %s keys: %s" % (name, ", ".join(sorted(unknown))))
+def _object(doc, key, names) -> dict:
+    """Check that ``doc`` is a JSON object whose keys all lie in ``names``."""
+    _need(isinstance(doc, dict),
+          "%s must be an object, got %s" % (key or "the root", json.dumps(doc)))
+    unknown = sorted(set(doc) - set(names))
+    _need(not unknown, "unknown keys: %s" % ", ".join(_path(key, k) for k in unknown))
     return doc
 
 
-def scalar_value(kind, value, key):
+def _scalar(kind, value, key):
     """Cast one JSON value to ``kind`` (int, float or str); ``key`` names it in errors.
 
-    A number field takes no JSON boolean, and an int field no fractional
-    number, so that neither is silently converted.
+    A string field takes only a string and a number field only a number: no
+    JSON boolean, and for an int field no fractional number, so that nothing
+    is silently converted.
     """
-    if (not isinstance(value, (int, float, str))
-            or (kind is not str and isinstance(value, bool))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise ConfigError("%s must be of type %s, got %s"
-                          % (key, kind.__name__, json.dumps(value)))
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and not (kind is int and isinstance(value, float) and not value.is_integer()))
+    _need(ok, "%s must be of type %s, got %s" % (key, kind.__name__, json.dumps(value)))
     try:
         return kind(value)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError("%s: %s" % (key, exc)) from exc
 
 
-def _values(cls, doc, prefix="") -> dict:
-    """The entries of ``doc`` that set scalar fields of ``cls``, cast to their types."""
+def _cast(hint, value, key):
+    """Read one JSON value as ``hint``: int, float, str, a dataclass (an object),
+    ``tuple[T, ...]`` (a list), or a union of one of these with a tuple, which
+    a JSON list selects (a None member is only ever a default)."""
+    if get_origin(hint) in (Union, UnionType):
+        alts = [a for a in get_args(hint) if a is not type(None)]
+        hint = next((a for a in alts if (get_origin(a) is tuple) == isinstance(value, list)),
+                    alts[0])
+    if is_dataclass(hint):
+        return parse_object(hint, value, key)
+    if get_origin(hint) is tuple:
+        _need(isinstance(value, list), "%s must be a list, got %s" % (key, json.dumps(value)))
+        return tuple(_cast(get_args(hint)[0], v, "%s[%d]" % (key, j))
+                     for j, v in enumerate(value))
+    return _scalar(hint, value, key)
+
+
+def parse_object(cls, doc, key=""):
+    """Read the JSON object ``doc`` into the dataclass ``cls``; ``key`` is its path.
+
+    Keys are field names and absent fields take their defaults.  An unknown
+    key, a missing required field, a value of the wrong type and a value
+    that ``cls`` rejects are each a ConfigError that names its key path.
+    """
     hints = get_type_hints(cls)
-    return {
-        key: scalar_value(hints[key], value, prefix + key)
-        for key, value in doc.items()
-        if hints.get(key) in (int, float, str)
-    }
+    groups = _GROUPS.get(cls, {})
+    grouped = {name for names in groups.values() for name in names}
+    values = {}
+    for name, value in _object(doc, key, hints.keys() - grouped | groups.keys()).items():
+        if name in groups:
+            sub = _path(key, name)
+            for inner, v in _object(value, sub, groups[name]).items():
+                values[inner] = _cast(hints[inner], v, _path(sub, inner))
+        else:
+            values[name] = _cast(hints[name], value, _path(key, name))
+    for f in fields(cls):
+        _need(f.name in values or f.default is not MISSING or f.default_factory is not MISSING,
+              "missing required key %s" % _path(key, f.name))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (key, exc) if key else str(exc)) from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON-shaped dict and fill in defaults."""
-    _object(doc, "config", _names(RunConfig))
-    for f in fields(RunConfig):
-        if f.default is MISSING and f.default_factory is MISSING:
-            _need(f.name in doc, "missing required config key '%s'" % f.name)
-    lb = _object(doc.get("lbfgs", {}), "lbfgs",
-                 _names(LbfgsOptions) - set(_LINE_SEARCH) | {"line_search"})
-    ls = _object(lb.get("line_search", {}), "line_search", _LINE_SEARCH)
-    init_doc = _object(doc.get("init", {}), "init", _names(InitConfig))
+    return parse_object(RunConfig, doc)
 
-    values = {**_values(LbfgsOptions, lb, "lbfgs."),
-              **_values(LbfgsOptions, ls, "lbfgs.line_search.")}
-    try:
-        lbfgs = LbfgsOptions(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _need(lbfgs.memory >= 1, "lbfgs memory must be >= 1")
-    init = InitConfig(**_values(InitConfig, init_doc, "init."))
-    cfg = RunConfig(**_values(RunConfig, doc), lbfgs=lbfgs, init=init)
 
-    _need(cfg.d in (2, 3), "d must be 2 or 3, got %d" % cfg.d)
-    _need(cfg.n >= 2, "n must be >= 2")
-    _need(cfg.epsilon > 0, "epsilon must be > 0")
-    _need(cfg.substeps >= 1, "substeps must be >= 1")
-    _need(cfg.sinkhorn_iters >= 1, "sinkhorn_iters must be >= 1")
-    _need(cfg.frames >= 2, "frames must be >= 2")
-    _need(cfg.loss in LOSS_KINDS, "loss must be one of %s" % (list(LOSS_KINDS),))
-    _need(cfg.lambda_c >= 0 and cfg.lambda_s >= 0, "lambda_c and lambda_s must be >= 0")
-    _need(cfg.seed >= 0, "seed must be >= 0")
-    _need(init.mode in ("constant", "log_uniform"), "init.mode must be constant or log_uniform")
-    if init.mode == "log_uniform":
-        _need(init.low > 0, "init.low must be > 0 for log_uniform")
-        _need(init.high >= init.low, "init.high must be >= init.low")
-    return cfg
+def read_json(path):
+    """The JSON document in ``path``; malformed JSON is a ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def read_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("%s: %s" % (path, exc)) from exc
-    return parse_config(doc)
+    return parse_config(read_json(path))
 
 
 # --- exports ------------------------------------------------------------

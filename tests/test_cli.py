@@ -222,11 +222,50 @@ def test_non_scalar_config_value_is_config_error(tmp_path):
     ({"smooth_radius": 1.5}, "smooth_radius"),
     ({"regions": [{"factor": 0.2, "lo": 2, "hi": [3, 3]}]}, "regions[0].lo"),
     ({"endpoints": {"start": {"x": 1}}}, "endpoints.start"),
+    # unknown keys at every level
+    ({"smooth_raduis": 1}, "smooth_raduis"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "axis": [0]}]},
+     "regions[0].axis"),
+    ({"endpoints": {"strat": [1, 1]}}, "endpoints.strat"),
+    # region axes
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "axes": 5}]}, "regions[0].axes"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "axes": "diagonal"}]},
+     "regions[0].axes"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "axes": [7]}]},
+     "regions[0].axes"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "axes": [0.5]}]},
+     "regions[0].axes[0]"),
+    # coordinate counts
+    ({"regions": [{"factor": 0.2, "lo": [2], "hi": [3, 3]}]}, "regions[0].lo"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3, 3]}]}, "regions[0].hi"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2], "radius": 1}]},
+     "regions[0].center"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2, 2], "radius": 1}]},
+     "regions[0].center"),
 ])
 def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path / "c.json")
     pat = write_pattern(tmp_path / "p.json", **overrides)
     assert run(["gen", "--config", cfg, "--pattern", pat, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m.pop("frames"), "frames"),
+    (lambda m: m.update(dims=6), "dims"),
+    (lambda m: m.update(dims=[6.5, 6]), "dims[0]"),
+    (lambda m: m["frames"].__setitem__(1, 1), "frames[1]"),
+], ids=["missing-frames", "dims-not-list", "fractional-dim", "frame-name-not-string"])
+def test_learn_bad_manifest_is_config_error(workspace, capsys, edit, key):
+    root, cfg, pat = workspace
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    path = root / "truth" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["learn", "--config", cfg, "--sequence", root / "truth",
+                "--out", root / "o"]) == 2
     assert key in capsys.readouterr().err
 
 

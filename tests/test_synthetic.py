@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from otgrid.grids import GridSpec, axis_fields, constant_weights, edge_count, field_shape
+from otgrid.tensorio import parse_object
 from otgrid.synthetic import (
+    Endpoints,
     MetricPattern,
     Region,
     dirac,
@@ -132,13 +134,25 @@ def test_pattern_from_dict_roundtrip():
             {"factor": 4.0, "lo": [0, 0], "hi": [1, 1], "axes": [0]},
         ],
     }
-    pattern = MetricPattern.from_dict(doc)
+    pattern = parse_object(MetricPattern, doc)
     assert pattern.base == 2.0
     assert pattern.smooth_radius == 1
     assert pattern.regions[0].shape == "disk"
-    assert pattern.regions[1].axes == [0]
+    assert pattern.regions[0].center == (3.0, 3.0)
+    assert pattern.regions[1].axes == (0,)
+    assert pattern.endpoints == Endpoints()
     w = render_metric(GridSpec((6, 6)), pattern)
     assert (w > 0).all()
+
+
+def test_endpoints_default_ends():
+    """Left-out ends sit mid-grid, at the first and last index of the last axis."""
+    spec = GridSpec((5, 8))
+    r0, r1 = Endpoints(sigma=1.0).histograms(spec)
+    np.testing.assert_array_equal(r0, gaussian(spec, (2.0, 0.0), 1.0))
+    np.testing.assert_array_equal(r1, gaussian(spec, (2.0, 7.0), 1.0))
+    r0, _ = Endpoints(sigma=1.0, start=(1.0, 3.0)).histograms(spec)
+    np.testing.assert_array_equal(r0, gaussian(spec, (1.0, 3.0), 1.0))
 
 
 def test_euclidean_weights_all_ones():

@@ -164,6 +164,8 @@ def test_missing_required_key_rejected(key):
         {"substeps": True},
         {"lbfgs": {"line_search": {"max_trials": False}}},
         {"epsilon": True},
+        {"epsilon": "0.1"},
+        {"lbfgs": {"line_search": {"shrink": "0.5"}}},
         {"init": {"mode": "foo"}},
         {"init": {"mode": "log_uniform", "low": -1.0}},
         {"init": {"mode": "log_uniform", "low": 2.0, "high": 1.0}},
