@@ -33,7 +33,8 @@ positive and accurate to relative rounding (no eigendecomposition, whose
 cancellation gives negative entries).  Where a lower bound on the
 entries of K falls near the underflow range (tiny eps, where the
 products would lose terms that the solves keep), K is not formed and the
-solves stay.
+solves stay; an upper bound on the entries of Minv, checked at assembly,
+spares most such operators the N-column solve.
 
 The derivative of a scalar through one application of K to x, with
 downstream gradient g, has a closed form.  With x_l = M^-l x and
@@ -52,10 +53,19 @@ is the edge quadratic form G_ii + G_jj - G_ij - G_ji of
 
 the adjoint of the Frechet derivative of X -> X^-S (Higham 2008,
 *Functions of Matrices*, ch. 3).  G is linear in A, so the weight gradient
-of any number of applications follows from their summed A and one
-recursion G_1 = Minv A Minv, G_(k+1) = Minv (A Minv^(k+1) + G_k) of 2S
-matrix products.  ``DiffusionOperator.gradient_accumulator`` hides which
-of the two runs.
+of any number of applications follows from their summed A.  The edge form
+needs only G + G^T = X T(S) X, where X = Minv, A_s = A + A^T and
+T(m) = sum_{k<m} X^k A_s X^(m-1-k) is symmetric; T(S) is built by
+doubling over the bits of S, as a matrix power is:
+
+    T(2m) = Y + Y^T,  Y = P T(m);    T(m+1) = (Y + Y^T) / 2,  Y = X T(m) + A_s P
+
+with P = X^m: one product per doubling and per squaring of P, three per
+added one, and one for X T(S), whose row dots with rows of X give the
+entries of X T(S) X that the edge form reads.  That is 11 N x N products
+at S = 20 instead of the 2S = 40 of the sum term by term.
+``DiffusionOperator.gradient_accumulator`` hides which of the two paths
+runs.
 """
 
 from __future__ import annotations
@@ -68,11 +78,11 @@ from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_sli
 
 DENSE_GUARD = 4096
 # Largest grid whose differentiated K is applied as a dense matrix.  One
-# desk-style evaluation (S = 20, 30 sweeps, 7 frames, one BLAS thread) took
-# 0.44 s dense against 0.69 s on the banded solves at 25^2, 1.1 s against
-# 1.0 s at 30^2 and 2.4 s against 1.1 s at 35^2.  The value dates from
-# sparse LU solves (1.6 s at 30^2, 2.2 s at 35^2), which moved the
-# crossover to between 30^2 and 35^2.
+# desk-style evaluation (S = 20, 30 sweeps, 7 frames, one BLAS thread, a
+# shared 2-core box) took 0.67-0.77 s dense against 1.74-1.97 s on the
+# banded solves at 25^2, 1.36-1.59 s against 2.54-3.07 s at 30^2 and
+# 2.09-2.17 s against 2.85-3.26 s at 32^2 = 1,024 vertices, but 3.4-3.6 s
+# against 2.9-3.1 s at 36^2: the crossover lies between 32^2 and 36^2.
 DENSE_MAX = 1024
 # Each entry of a product of two N x N factors sums N partial products, and
 # one that underflows loses at most the smallest normal float.  An entry at
@@ -131,8 +141,19 @@ class DiffusionOperator:
         if info != 0:
             raise ValueError("diffusion matrix factorization failed: LAPACK info %d" % info)
         self._minv = self.kernel = None
-        # K is formed, where allowed, by the first gradient_accumulator()
-        self._kernel_pending = n <= DENSE_MAX
+        # K is formed, where allowed, by the first gradient_accumulator().
+        # Write M = D - B with D = diag(1 + s_i), s_i the off-diagonal sum
+        # of row i, and B >= 0 off the diagonal.  Minv = sum_k (D^-1 B)^k D^-1,
+        # whose term k is zero between vertices more than k edges apart and
+        # has rows summing to at most rho^k, rho = max s_i / (1 + s_i) (D^-1
+        # <= 1).  So the entry between opposite corners, d edges apart, and
+        # with it min Minv, is at most rho^d / (1 - rho).  The exact check
+        # in _form_kernel multiplies min Minv by powers of diag Minv <= 1
+        # (M >= I), so a bound below the floor fails it too, and rejecting
+        # here only spares the N-column solve.
+        s = -self.c * float(lap.diagonal().min())
+        bound = (s / (1.0 + s)) ** (sum(spec.dims) - spec.d) * (1.0 + s)
+        self._kernel_pending = n <= DENSE_MAX and bound >= _KERNEL_FLOOR
 
     def _form_kernel(self) -> None:
         """Form Minv and K = Minv^S on the first call, where allowed."""
@@ -286,28 +307,46 @@ class _DenseGradient:
 
     def finalize(self) -> np.ndarray:
         self.flush()
-        # drop the operator, so that K is freed before the recursion unless
+        # drop the operator, so that K is freed before the products unless
         # a caller still holds it
         op, self._op = self._op, None
-        minv, spec, coeff, substeps = op._minv, op.spec, op.axis_coeff, op.substeps
+        x, spec, coeff, substeps = op._minv, op.spec, op.axis_coeff, op.substeps
         del op
-        # b = A Minv^k, g = G_k; t is the free buffer of the two products
-        b, self._a = self._a, None
-        g = np.zeros_like(b)
-        t = np.empty_like(b)
-        for _ in range(substeps):
-            np.matmul(b, minv, out=t)
-            b, t = t, b
-            g += b
-            np.matmul(minv, g, out=t)
-            g, t = t, g
-        diag = np.diagonal(g)
+        # T(m) by doubling over the bits of S (module docstring), from
+        # T(1) = A_s and P = X; t, p and w are reused buffers, and the
+        # last update of P is skipped
+        a, self._a = self._a, None
+        a += a.T
+        t = a.copy()
+        p = x.copy()
+        w = np.empty_like(a)
+        bits = bin(substeps)[3:]
+        for n, bit in enumerate(bits, 1):
+            np.matmul(p, t, out=w)
+            np.add(w, w.T, out=t)
+            if bit == "1" or n < len(bits):
+                np.matmul(p, p, out=w)
+                p, w = w, p
+            if bit == "1":
+                np.matmul(x, t, out=w)
+                np.matmul(a, p, out=t)
+                w += t
+                np.add(w, w.T, out=t)
+                t *= 0.5
+                if n < len(bits):
+                    np.matmul(p, x, out=w)
+                    p, w = w, p
+        # the edge form needs only the diagonal of H = G + G^T = (X T) X and
+        # its entries H[v, v + step]: row dots of X T with rows of X
+        np.matmul(x, t, out=w)
+        diag = np.einsum("ij,ij->i", w, x)
         idx = np.arange(spec.num_vertices).reshape(spec.dims)
         out = np.empty(edge_count(spec))
-        for a, sl in enumerate(field_slices(spec)):
-            i = np.delete(idx, -1, axis=a).ravel()
-            j = np.delete(idx, 0, axis=a).ravel()
-            out[sl] = (-coeff[a]) * (diag[i] + diag[j] - g[i, j] - g[j, i])
+        for ax, sl in enumerate(field_slices(spec)):
+            step = int(np.prod(spec.dims[ax + 1:]))
+            i = np.delete(idx, -1, axis=ax).ravel()
+            across = np.einsum("ij,ij->i", w[:-step], x[step:])[i]
+            out[sl] = (-coeff[ax]) * (0.5 * (diag[i] + diag[i + step]) - across)
         return out
 
 

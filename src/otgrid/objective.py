@@ -213,6 +213,18 @@ class Manifest:
     frames: tuple[str, ...]  # file names, one per frame
     timestamps: tuple[float, ...]
 
+    def __post_init__(self):
+        if not self.dims:
+            raise ValueError("dims must list at least one axis")
+        for a, n in enumerate(self.dims):
+            if n < 2:
+                raise ValueError("dims[%d] must be at least 2, got %d" % (a, n))
+        if len(self.frames) < 2:
+            raise ValueError("frames must list at least 2 frames, got %d" % len(self.frames))
+        if len(self.timestamps) != len(self.frames):
+            raise ValueError("timestamps must have one entry per frame: %d for %d frames"
+                             % (len(self.timestamps), len(self.frames)))
+
 
 def save_sequence(dirpath, spec: GridSpec, seq: Sequence) -> None:
     """One GMLT tensor per frame (grid-shaped) plus a manifest."""

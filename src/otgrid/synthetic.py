@@ -53,15 +53,19 @@ def gaussian(spec: GridSpec, center, sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Region:
-    """A box (lo/hi corners, inclusive) or disk (center/radius) weight zone."""
+    """A box (lo/hi corners, inclusive) or disk (center, and radius, 0 when
+    left out) weight zone; the keys of the other shape stay None."""
 
     factor: float
     shape: str = "box"  # box | disk
     axes: str | tuple[int, ...] = "all"  # all | horizontal | vertical | axis numbers
-    lo: tuple[float, ...] = ()
-    hi: tuple[float, ...] = ()
-    center: tuple[float, ...] = ()
-    radius: float = 0.0
+    lo: tuple[float, ...] | None = None
+    hi: tuple[float, ...] | None = None
+    center: tuple[float, ...] | None = None
+    radius: float | None = None
+
+
+_SHAPE_KEYS = {"box": ("lo", "hi"), "disk": ("center", "radius")}
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,13 @@ class MetricPattern:
 
 def _axes_of(region: Region, d: int, key: str) -> tuple:
     """The weight fields a region acts on, once its shape and coordinates check out."""
-    if region.shape not in ("box", "disk"):
+    if region.shape not in _SHAPE_KEYS:
         raise ConfigError("%s.shape must be box or disk, got %r" % (key, region.shape))
+    for name in ("lo", "hi", "center", "radius"):
+        if name not in _SHAPE_KEYS[region.shape] and getattr(region, name) is not None:
+            raise ConfigError("%s.%s is not used by a %s region" % (key, name, region.shape))
     for name in ("lo", "hi") if region.shape == "box" else ("center",):
-        count = len(getattr(region, name))
+        count = len(getattr(region, name) or ())
         if count != d:
             raise ConfigError("%s.%s must have %d numbers, got %d" % (key, name, d, count))
     axes = region.axes
@@ -134,7 +141,7 @@ def _region_mask(region: Region, midpoints) -> np.ndarray:
     sq = np.zeros(midpoints[0].shape)
     for a, m in enumerate(midpoints):
         sq += (m - center[a]) ** 2
-    return sq <= region.radius**2
+    return sq <= (region.radius or 0.0) ** 2
 
 
 def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:

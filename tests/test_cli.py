@@ -242,6 +242,15 @@ def test_non_scalar_config_value_is_config_error(tmp_path):
      "regions[0].center"),
     ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2, 2], "radius": 1}]},
      "regions[0].center"),
+    # keys the region's shape does not use
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "center": [1, 1]}]},
+     "regions[0].center"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [3, 3], "radius": 5}]},
+     "regions[0].radius"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": 1,
+                   "lo": [2, 2]}]}, "regions[0].lo"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": 1,
+                   "hi": [3, 3]}]}, "regions[0].hi"),
 ])
 def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path / "c.json")
@@ -255,7 +264,12 @@ def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key)
     (lambda m: m.update(dims=6), "dims"),
     (lambda m: m.update(dims=[6.5, 6]), "dims[0]"),
     (lambda m: m["frames"].__setitem__(1, 1), "frames[1]"),
-], ids=["missing-frames", "dims-not-list", "fractional-dim", "frame-name-not-string"])
+    (lambda m: m.update(frames=[]), "frames"),
+    (lambda m: m.update(dims=[6, 1]), "dims[1]"),
+    (lambda m: m.update(dims=[]), "dims"),
+    (lambda m: m["timestamps"].pop(), "timestamps"),
+], ids=["missing-frames", "dims-not-list", "fractional-dim", "frame-name-not-string",
+        "empty-frames", "short-axis", "no-axes", "short-timestamps"])
 def test_learn_bad_manifest_is_config_error(workspace, capsys, edit, key):
     root, cfg, pat = workspace
     run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])

@@ -61,14 +61,29 @@ def blob_sequence(spec, frames):
     return Sequence(out, ts)
 
 
-@pytest.mark.parametrize("dims", GRIDS, ids=lambda d: "x".join(map(str, d)))
-def test_dense_engine_matches_lu_tape_path(dims, monkeypatch):
+# every branch of the doubling over the bits of S: S = 1 walks no bit, 2 and
+# 8 only double, 3 ends on an added one, 20 adds one mid-walk and ends on a
+# doubling, 21 adds one mid-walk and at the end
+SUBSTEPS = [1, 2, 3, 8, 20, 21]
+CASES = ([(dims, 1.2e-2, s) for dims in GRIDS for s in SUBSTEPS]
+         + [((20, 20), 1e-6, 20)])
+
+
+def case_id(case):
+    dims, epsilon, substeps = case
+    tail = "" if epsilon == 1.2e-2 else "-eps%g" % epsilon
+    return "%s-S%d%s" % ("x".join(map(str, dims)), substeps, tail)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_dense_engine_matches_lu_tape_path(case, monkeypatch):
+    dims, epsilon, substeps = case
     spec = GridSpec(dims)
     n = spec.num_vertices
     assert n <= diffusion.DENSE_MAX
     rng = np.random.default_rng(1)
     w = random_weights(spec, 2)
-    dense, lu = both_paths(monkeypatch, spec, w, 1.2e-2, 8)
+    dense, lu = both_paths(monkeypatch, spec, w, epsilon, substeps)
 
     # kernel applications; K is positive, so nonnegative inputs stay so
     assert dense.kernel.min() > 0
@@ -90,7 +105,7 @@ def test_dense_engine_matches_lu_tape_path(dims, monkeypatch):
     assert rel_diff(barycenter_backward(tape_dense, g), barycenter_backward(tape_lu, g)) <= RTOL
 
     # a whole evaluation, whose frames share one gradient accumulator
-    obj = Objective(spec, (blob_sequence(spec, 4),), 1.2e-2, 8, 10, lambda_s=0.03)
+    obj = Objective(spec, (blob_sequence(spec, 4),), epsilon, substeps, 10, lambda_s=0.03)
     wlog = np.random.default_rng(3).normal(0.0, 0.3, edge_count(spec))
     val_dense, grad_dense = evaluate_with_grad(obj, wlog)
     with monkeypatch.context() as m:
@@ -101,7 +116,7 @@ def test_dense_engine_matches_lu_tape_path(dims, monkeypatch):
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=lambda d: "x".join(map(str, d)))
-def test_underflowing_kernel_falls_back_to_the_solves(dims):
+def test_underflowing_kernel_falls_back_to_the_solves(dims, monkeypatch):
     """At an epsilon where the kernel underflows, a dense K would have lost
     the entries that the solves keep (on the 20x20 grid it gave 192 clamps
     against 72 and a NaN gradient), so the guard keeps the operator on the
@@ -111,10 +126,12 @@ def test_underflowing_kernel_falls_back_to_the_solves(dims):
     is above the guard's floor of about 1e-289, so K x clears the 1e-300
     divide floor unless x sums to less than 1e-11, and no epsilon (1e-1 to
     1e-40, S = 1 and 3) was found at which K is formed and these sweeps
-    clamp."""
+    clamp.  The kernel is rejected before the N-column solve for M^-1."""
     spec = GridSpec(dims)
     op = assemble(spec, random_weights(spec, 4), CLAMP_EPSILON[dims], 1)
-    op.gradient_accumulator()
+    with monkeypatch.context() as m:
+        m.setattr(DiffusionOperator, "solve", lambda self, b: pytest.fail("solve called"))
+        op.gradient_accumulator()
     assert op.kernel is None
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -123,6 +140,26 @@ def test_underflowing_kernel_falls_back_to_the_solves(dims):
     assert len([x for x in rec if issubclass(x.category, DegeneracyWarning)]) == 1
     assert tape.clamps > 0 and tape.states_v is not None
     assert np.isfinite(b).all() and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=lambda d: "x".join(map(str, d)))
+def test_underflow_bound_agrees_with_the_exact_check(dims):
+    """The bound checked at assembly, which spares the N-column solve,
+    rejects no kernel that the check on the entries of M^-1 accepts: over
+    a sweep of epsilon, K is formed exactly where that check passes."""
+    spec = GridSpec(dims)
+    w = random_weights(spec, 4)
+    formed = []
+    for substeps in (1, 3):
+        for epsilon in 10.0 ** -np.arange(1.0, 41.0):
+            op = assemble(spec, w, epsilon, substeps)
+            op.gradient_accumulator()
+            minv = op.solve(np.eye(spec.num_vertices))
+            bound = minv.min() * np.diagonal(minv).min() ** (substeps - 1)
+            exact = bool(bound >= diffusion._KERNEL_FLOOR)
+            assert (op.kernel is not None) == exact, (epsilon, substeps)
+            formed.append(exact)
+    assert any(formed) and not all(formed)
 
 
 def test_dense_evaluation_solves_once_per_assembly(monkeypatch):
