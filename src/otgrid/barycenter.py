@@ -245,25 +245,3 @@ def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = F
                    "ku": tape.ku[l, 0]} for l in range(iters)]
         return u[0], v[0], states
     return u[0], v[0]
-
-
-def ot_value_history(op: DiffusionOperator, a, b, iters: int) -> np.ndarray:
-    """Regularized transport value after each scaling sweep (diagnostic).
-
-    Builds the dense kernel and cost (small grids only) and records
-    <C, P> - eps * H(P) for the plan P = diag(u) K diag(v) of each sweep of
-    ``sinkhorn_scalings``, with entropy H(P) = -sum P (log P - 1) and the
-    0 log 0 = 0 convention.
-    """
-    kd = op.dense_kernel()
-    with np.errstate(divide="ignore"):
-        cost = -op.epsilon * np.log(kd)
-    _, _, history = sinkhorn_scalings(op, a, b, iters, history=True)
-    values = np.empty(iters)
-    for l, st in enumerate(history):
-        plan = st["u"][:, None] * kd * st["v"][None, :]
-        pos = plan > 0
-        transport = float(np.sum(cost[pos] * plan[pos]))
-        entropy = -float(np.sum(plan[pos] * (np.log(plan[pos]) - 1.0)))
-        values[l] = transport - op.epsilon * entropy
-    return values

@@ -6,10 +6,15 @@ h_a = 1/(n_a - 1) is the mesh size of a grid discretizing [0,1]^d.  One
 application of K means S successive solves against a factorization of M
 computed once at assembly.  M is symmetric positive definite and, with
 vertices in row-major order, banded: its widest coupling is along axis 0,
-prod(dims[1:]) vertices apart.  It is factored once by LAPACK's banded
-Cholesky (dpbtrf), and every solve, of a vector or of a column block, is
-one dpbtrs call against that factor.  M has unit row sums, so K is
-stochastic (K 1 = 1) and, being symmetric, mass-preserving.
+prod(dims[1:]) vertices apart.  Assembly writes M straight into LAPACK's
+upper band storage from the edge list of ``grids.edge_vertices``: the
+axis-a edge (i, j), i < j, puts -(eps/4S) w_e / h_a^2 at M[i, j] and adds
+as much to the diagonal entries of i and j, which start at 1.  No sparse M
+is formed (``grids.build_laplacian`` gives the same M to tests).  M is
+factored once by LAPACK's banded Cholesky (dpbtrf), and every solve, of a
+vector or of a column block, is one dpbtrs call against that factor.  M
+has unit row sums, so K is stochastic (K 1 = 1) and, being symmetric,
+mass-preserving.
 
 K approximates the lattice heat kernel exp(t' L) at the diffusion time
 t' = eps (n-1)^2 / 4 in cell units (unit weights, n vertices per axis).
@@ -71,10 +76,9 @@ runs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .grids import GridSpec, build_laplacian, edge_count, field_shape, field_slices
+from .grids import GridSpec, check_weights, edge_count, edge_vertices, field_sizes, field_slices
 
 DENSE_GUARD = 4096
 # Largest grid whose differentiated K is applied as a dense matrix.  One
@@ -99,13 +103,14 @@ def _finite(x) -> np.ndarray:
 
 
 class DiffusionOperator:
-    """M, its banded Cholesky factor, and kernel and adjoint applications.
+    """The banded Cholesky factor of M, and kernel and adjoint applications.
 
-    M and its factor are fixed at construction, which raises ValueError
-    when M has a non-finite entry or is not positive definite.  ``kernel``
-    is None until the first ``gradient_accumulator`` call forms the dense
-    K, read-only, on a grid of at most DENSE_MAX vertices whose K stays
-    clear of underflow.
+    The factor is fixed at construction, which raises ValueError when the
+    weight vector has the wrong length or a non-positive entry, or when M
+    has a non-finite entry or is not positive definite; M itself is not
+    kept.  ``kernel`` is None until the first ``gradient_accumulator`` call
+    forms the dense K, read-only, on a grid of at most DENSE_MAX vertices
+    whose K stays clear of underflow.
     """
 
     def __init__(self, spec: GridSpec, w, epsilon: float, substeps: int):
@@ -113,30 +118,32 @@ class DiffusionOperator:
             raise ValueError("epsilon must be > 0")
         if substeps < 1:
             raise ValueError("substeps must be >= 1")
-        w = np.asarray(w, dtype=np.float64)
+        w = check_weights(spec, w)
         self.spec = spec
         self.epsilon = float(epsilon)
         self.substeps = int(substeps)
         self.c = self.epsilon / (4.0 * self.substeps)
-        # per-axis coefficient c / h_a^2 with h_a = 1/(n_a - 1)
-        self.axis_coeff = np.array(
-            [self.c * (n - 1) ** 2 for n in spec.dims], dtype=np.float64
-        )
-        scaled = w.copy()
-        for a, sl in enumerate(field_slices(spec)):
-            scaled[sl] *= (spec.dims[a] - 1) ** 2
-        lap = build_laplacian(spec, scaled)
         n = spec.num_vertices
-        self.matrix = (sp.identity(n, format="csr") - self.c * lap).tocsr()
-        # LAPACK's Cholesky passes NaN and inf through without complaint
-        if not np.isfinite(self.matrix.data).all():
-            raise ValueError("diffusion matrix has non-finite entries: corrupted weights")
-        # bandwidth: axis-0 neighbours are n // dims[0] vertices apart; upper
-        # band storage puts M[i, j] at band[kd + i - j, j]
+        self._i, self._j = i, j = edge_vertices(spec)
+        # 1 / h_a^2 = (n_a - 1)^2 of each edge's axis
+        inv_h2 = np.repeat([float((n_a - 1) ** 2) for n_a in spec.dims], field_sizes(spec))
+        self._coeff = self.c * inv_h2
+        scaled = w * inv_h2
+        # M = Id - c L(scaled) in upper band storage: M[i, j] at band[kd + i - j, j]
         kd = n // spec.dims[0]
-        upper = sp.triu(self.matrix, format="coo")
         band = np.zeros((kd + 1, n), order="F")
-        band[kd + upper.row - upper.col, upper.col] = upper.data
+        band[kd + i - j, j] = -self.c * scaled
+        # degrees summed axis by axis; a vertex is the lower end of at most
+        # one edge per axis, and the upper end of at most one
+        deg = np.zeros(n)
+        for sl in field_slices(spec):
+            deg[i[sl]] += scaled[sl]
+            deg[j[sl]] += scaled[sl]
+        band[kd] = 1.0 + self.c * deg
+        # LAPACK's Cholesky passes NaN and inf through without complaint; the
+        # diagonal entry bounds its row
+        if not np.isfinite(band[kd]).all():
+            raise ValueError("diffusion matrix has non-finite entries: corrupted weights")
         self._cholesky, info = dpbtrf(band, overwrite_ab=1)
         if info != 0:
             raise ValueError("diffusion matrix factorization failed: LAPACK info %d" % info)
@@ -151,7 +158,7 @@ class DiffusionOperator:
         # in _form_kernel multiplies min Minv by powers of diag Minv <= 1
         # (M >= I), so a bound below the floor fails it too, and rejecting
         # here only spares the N-column solve.
-        s = -self.c * float(lap.diagonal().min())
+        s = self.c * float(deg.max())
         bound = (s / (1.0 + s)) ** (sum(spec.dims) - spec.d) * (1.0 + s)
         self._kernel_pending = n <= DENSE_MAX and bound >= _KERNEL_FLOOR
 
@@ -215,20 +222,14 @@ class DiffusionOperator:
                 % (states.shape, self.substeps, n)
             )
         g = _finite(g)
-        dims = self.spec.dims
-        d = self.spec.d
-        acc = [np.zeros(field_shape(self.spec, a)) for a in range(d)]
+        i, j = self._i, self._j
+        acc = np.zeros(len(i))
         gcur = g
         for k in range(1, self.substeps + 1):
             gcur = self.solve(gcur)
-            gv = gcur.reshape(dims)
-            vv = states[self.substeps - k].reshape(dims)
-            for a in range(d):
-                acc[a] += np.diff(gv, axis=a) * np.diff(vv, axis=a)
-        out = np.empty(edge_count(self.spec))
-        for a, sl in enumerate(field_slices(self.spec)):
-            out[sl] = (-self.axis_coeff[a]) * acc[a].ravel()
-        return gcur, out
+            x = states[self.substeps - k]
+            acc += (gcur[j] - gcur[i]) * (x[j] - x[i])
+        return gcur, -self._coeff * acc
 
     def gradient_accumulator(self):
         """A fresh sum of weight gradients over many kernel applications.
@@ -310,7 +311,7 @@ class _DenseGradient:
         # drop the operator, so that K is freed before the products unless
         # a caller still holds it
         op, self._op = self._op, None
-        x, spec, coeff, substeps = op._minv, op.spec, op.axis_coeff, op.substeps
+        x, spec, coeff, substeps, i, j = op._minv, op.spec, op._coeff, op.substeps, op._i, op._j
         del op
         # T(m) by doubling over the bits of S (module docstring), from
         # T(1) = A_s and P = X; t, p and w are reused buffers, and the
@@ -337,17 +338,15 @@ class _DenseGradient:
                     np.matmul(p, x, out=w)
                     p, w = w, p
         # the edge form needs only the diagonal of H = G + G^T = (X T) X and
-        # its entries H[v, v + step]: row dots of X T with rows of X
+        # its entries H[i, j] at the edges: row dots of X T with rows of X.
+        # The edges of one axis join vertices a fixed step apart.
         np.matmul(x, t, out=w)
         diag = np.einsum("ij,ij->i", w, x)
-        idx = np.arange(spec.num_vertices).reshape(spec.dims)
-        out = np.empty(edge_count(spec))
-        for ax, sl in enumerate(field_slices(spec)):
-            step = int(np.prod(spec.dims[ax + 1:]))
-            i = np.delete(idx, -1, axis=ax).ravel()
-            across = np.einsum("ij,ij->i", w[:-step], x[step:])[i]
-            out[sl] = (-coeff[ax]) * (0.5 * (diag[i] + diag[i + step]) - across)
-        return out
+        across = np.empty(len(i))
+        for sl in field_slices(spec):
+            step = j[sl.start] - i[sl.start]
+            across[sl] = np.einsum("ij,ij->i", w[:-step], x[step:])[i[sl]]
+        return -coeff * (0.5 * (diag[i] + diag[j]) - across)
 
 
 def assemble(spec: GridSpec, w, epsilon: float, substeps: int) -> DiffusionOperator:

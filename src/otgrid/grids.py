@@ -89,6 +89,30 @@ def constant_weights(spec: GridSpec, value: float = 1.0) -> np.ndarray:
     return np.full(edge_count(spec), float(value))
 
 
+def edge_vertices(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """End vertices (i, j), i < j, of every edge, in flat weight order.
+
+    The axis-a edge at field index f joins vertex f to vertex f + e_a, which
+    is prod(dims[a+1:]) vertices further on in row-major order.
+    """
+    vid = np.arange(spec.num_vertices).reshape(spec.dims)
+    i = np.concatenate([vid[(slice(None),) * a + (slice(-1),)].ravel() for a in range(spec.d)])
+    steps = [int(np.prod(spec.dims[a + 1:])) for a in range(spec.d)]
+    return i, i + np.repeat(steps, field_sizes(spec))
+
+
+def check_weights(spec: GridSpec, w) -> np.ndarray:
+    """``w`` as float64; ValueError unless it has one positive entry per edge."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (edge_count(spec),):
+        raise ValueError(
+            "weight vector has length %d, expected %d" % (w.size, edge_count(spec))
+        )
+    if np.any(w <= 0):
+        raise ValueError("edge weights must be strictly positive")
+    return w
+
+
 def build_laplacian(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:
     """Weighted graph Laplacian L = W - diag(degree).
 
@@ -96,35 +120,15 @@ def build_laplacian(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:
     diagonal carries minus the weighted degree, so every row sums to zero
     and L is symmetric negative semi-definite.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValueError("edge weights must be strictly positive")
+    w = check_weights(spec, w)
     n = spec.num_vertices
-    vid = np.arange(n).reshape(spec.dims)
-    rows, cols, vals = [], [], []
-    for a, f in enumerate(axis_fields(spec, w)):
-        lo = [slice(None)] * spec.d
-        hi = [slice(None)] * spec.d
-        lo[a] = slice(0, -1)
-        hi[a] = slice(1, None)
-        i = vid[tuple(lo)].ravel()
-        j = vid[tuple(hi)].ravel()
-        we = f.ravel()
-        rows.append(i)
-        cols.append(j)
-        vals.append(we)
-        rows.append(j)
-        cols.append(i)
-        vals.append(we)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    deg = np.zeros(n)
-    np.add.at(deg, rows, vals)
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    vals = np.concatenate([vals, -deg])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    i, j = edge_vertices(spec)
+    v = np.arange(n)
+    deg = np.bincount(i, w, n) + np.bincount(j, w, n)
+    return sp.csr_matrix(
+        (np.concatenate([w, w, -deg]), (np.concatenate([i, j, v]), np.concatenate([j, i, v]))),
+        shape=(n, n),
+    )
 
 
 def parallel_difference(spec: GridSpec, w: np.ndarray) -> np.ndarray:

@@ -179,24 +179,3 @@ def forward_sequence(spec: GridSpec, w, r0, r1, frames: int,
         b = interpolate(op, r0, r1, float(t), iters)
         out[i] = b / b.sum()
     return Sequence(out, ts)
-
-
-def moving_gaussian_sequence(spec: GridSpec, waypoints, sigma: float, frames: int) -> Sequence:
-    """Gaussian bump whose center walks the waypoint polyline.
-
-    Waypoint k sits at parameter k/(len-1); centers are piecewise-linear
-    in t between consecutive waypoints.
-    """
-    pts = np.asarray(waypoints, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != spec.d:
-        raise ValueError("need at least two waypoints of dimension %d" % spec.d)
-    if frames < 2:
-        raise ValueError("need at least 2 frames")
-    ts = default_timestamps(frames)
-    breakpoints = np.linspace(0.0, 1.0, pts.shape[0])
-    out = np.empty((frames, spec.num_vertices))
-    for i, t in enumerate(ts):
-        center = np.array([np.interp(t, breakpoints, pts[:, a]) for a in range(spec.d)])
-        out[i] = gaussian(spec, center, sigma)
-    return Sequence(out, ts)
-

@@ -20,6 +20,7 @@ from otgrid.lbfgs import LbfgsOptions, minimize
 from otgrid.objective import Objective, Sequence, evaluate_with_grad, save_sequence
 from otgrid.synthetic import MetricPattern, Region, dirac, forward_sequence, gaussian, render_metric
 from otgrid.tensorio import write_tensor
+from sequences import moving_gaussian_sequence
 
 
 EVEN_SPACING_EPSILON = 0.1
@@ -147,8 +148,6 @@ def test_ac2_weight_adjoint_matches_finite_differences():
 
 
 def test_ac3_objective_gradient_matches_finite_differences():
-    from otgrid.synthetic import moving_gaussian_sequence
-
     spec = GridSpec((8, 8))
     seq = moving_gaussian_sequence(spec, [(3.5, 1.0), (3.5, 6.0)], 1.2, 4)
     rng = np.random.default_rng(7)

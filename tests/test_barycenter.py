@@ -10,7 +10,6 @@ from otgrid.barycenter import (
     barycenter,
     barycenter_backward,
     interpolate,
-    ot_value_history,
     sinkhorn_scalings,
 )
 from otgrid.diffusion import assemble
@@ -27,6 +26,28 @@ def random_histograms(spec, count, seed):
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.05, 1.0, (count, spec.num_vertices))
     return h / h.sum(axis=1, keepdims=True)
+
+
+def ot_value_history(op, a, b, iters: int) -> np.ndarray:
+    """Regularized transport value after each scaling sweep (diagnostic).
+
+    Builds the dense kernel and cost (small grids only) and records
+    <C, P> - eps * H(P) for the plan P = diag(u) K diag(v) of each sweep of
+    ``sinkhorn_scalings``, with entropy H(P) = -sum P (log P - 1) and the
+    0 log 0 = 0 convention.
+    """
+    kd = op.dense_kernel()
+    with np.errstate(divide="ignore"):
+        cost = -op.epsilon * np.log(kd)
+    _, _, history = sinkhorn_scalings(op, a, b, iters, history=True)
+    values = np.empty(iters)
+    for l, st in enumerate(history):
+        plan = st["u"][:, None] * kd * st["v"][None, :]
+        pos = plan > 0
+        transport = float(np.sum(cost[pos] * plan[pos]))
+        entropy = -float(np.sum(plan[pos] * (np.log(plan[pos]) - 1.0)))
+        values[l] = transport - op.epsilon * entropy
+    return values
 
 
 # --- forward ---------------------------------------------------------------

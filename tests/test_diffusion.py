@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from otgrid import diffusion
 from otgrid.diffusion import DENSE_GUARD, DENSE_MAX, DiffusionOperator, assemble
-from otgrid.grids import GridSpec, constant_weights, edge_count
+from otgrid.grids import (
+    GridSpec,
+    axis_fields,
+    build_laplacian,
+    constant_weights,
+    edge_count,
+    flatten_fields,
+)
+
+
+def reference_matrix(spec, w, epsilon, substeps):
+    """M = Id - (eps/4S) L(w (n_a - 1)^2) from the sparse Laplacian, an
+    oracle built apart from the operator's band assembly."""
+    scaled = flatten_fields(f * (n - 1) ** 2 for f, n in zip(axis_fields(spec, w), spec.dims))
+    lap = build_laplacian(spec, scaled)
+    return sp.identity(spec.num_vertices) - epsilon / (4 * substeps) * lap
 
 
 def two_node():
@@ -42,6 +58,13 @@ def test_constructor_validation():
         DiffusionOperator(spec, constant_weights(spec), 0.0, 5)
     with pytest.raises(ValueError):
         DiffusionOperator(spec, constant_weights(spec), 1.0, 0)
+    with pytest.raises(ValueError, match="length"):
+        DiffusionOperator(spec, constant_weights(spec)[:-1], 1.0, 5)
+    for bad in (0.0, -1.0):
+        w = constant_weights(spec)
+        w[3] = bad
+        with pytest.raises(ValueError, match="positive"):
+            DiffusionOperator(spec, w, 1.0, 5)
 
 
 def test_kernel_rows_sum_to_one():
@@ -80,7 +103,8 @@ def test_solve_is_single_substep():
     op = assemble(spec, w, 3e-2, 4)
     b = np.random.default_rng(6).normal(size=12)
     x = op.solve(b)
-    np.testing.assert_allclose(op.matrix @ x, b, atol=1e-12)
+    M = reference_matrix(spec, w, 3e-2, 4)
+    np.testing.assert_allclose(M @ x, b, atol=1e-12)
 
 
 def test_adjoint_input_is_kernel_by_symmetry(monkeypatch):
@@ -99,6 +123,7 @@ def test_adjoint_input_is_kernel_by_symmetry(monkeypatch):
 def test_tape_records_all_substeps():
     spec = GridSpec((3, 3))
     op = assemble(spec, constant_weights(spec), 1e-2, 6)
+    M = reference_matrix(spec, constant_weights(spec), 1e-2, 6)
     v = np.random.default_rng(9).uniform(size=9)
     out, states = op.apply(v, record=True)
     assert states.shape == (6, 9)
@@ -106,7 +131,7 @@ def test_tape_records_all_substeps():
     # each state is one more backward-Euler substep of the previous
     for l in range(1, 6):
         np.testing.assert_allclose(
-            op.matrix @ states[l], states[l - 1], atol=1e-12
+            M @ states[l], states[l - 1], atol=1e-12
         )
 
 
@@ -198,8 +223,9 @@ def test_assembly_rejects_non_finite_matrix(dims, bad):
 
 
 # Equivalence gate for the banded Cholesky factorization: a sparse LU of the
-# same M, built here only, is the reference.  Grids include both axis orders
-# of a rectangle (bandwidth 7 against 2) and 16^3, bandwidth 256.
+# same M, built here from the sparse Laplacian, is the reference.  Grids
+# include both axis orders of a rectangle (bandwidth 7 against 2) and 16^3,
+# bandwidth 256.
 EQUIVALENCE_GRIDS = [(9,), (2, 7), (7, 2), (5, 6), (6, 5, 4), (20, 20), (16, 16, 16)]
 
 
@@ -214,7 +240,7 @@ def test_banded_solve_matches_sparse_lu(dims):
     rng = np.random.default_rng(n)
     w = np.exp(rng.normal(0.0, 0.3, edge_count(spec)))
     op = assemble(spec, w, 1.2e-2, 3)
-    lu = splu(op.matrix.tocsc())
+    lu = splu(reference_matrix(spec, w, 1.2e-2, 3).tocsc())
 
     def reference_kernel(v):
         for _ in range(op.substeps):

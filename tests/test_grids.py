@@ -9,6 +9,7 @@ from otgrid.grids import (
     build_laplacian,
     constant_weights,
     edge_count,
+    edge_vertices,
     field_shape,
     field_slices,
     flatten_fields,
@@ -56,6 +57,40 @@ def test_constant_weights():
     w = constant_weights(spec, 2.5)
     assert w.shape == (edge_count(spec),)
     assert (w == 2.5).all()
+
+
+# --- edge list --------------------------------------------------------------
+
+
+def test_edge_vertices_2x3_pinned():
+    # vertices [[0, 1, 2], [3, 4, 5]]: axis-0 edges first, then axis-1 edges
+    i, j = edge_vertices(GridSpec((2, 3)))
+    np.testing.assert_array_equal(i, [0, 1, 2, 0, 1, 3, 4])
+    np.testing.assert_array_equal(j, [3, 4, 5, 1, 2, 4, 5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dims, st.integers(0, 2**31 - 1))
+def test_edge_vertices_follow_axis_differences(dims, seed):
+    """x[j] - x[i] is np.diff along each axis, in flat weight order."""
+    spec = GridSpec(dims)
+    x = np.random.default_rng(seed).normal(size=dims)
+    i, j = edge_vertices(spec)
+    assert (i < j).all()
+    diffs = flatten_fields(np.diff(x, axis=a) for a in range(spec.d))
+    np.testing.assert_array_equal(x.ravel()[j] - x.ravel()[i], diffs)
+
+
+def test_laplacian_entries_sit_at_edge_vertices():
+    spec = GridSpec((4, 3, 2))
+    w = np.random.default_rng(1).uniform(0.2, 3.0, edge_count(spec))
+    dense = build_laplacian(spec, w).toarray()
+    i, j = edge_vertices(spec)
+    np.testing.assert_array_equal(dense[i, j], w)
+    np.testing.assert_array_equal(dense[j, i], w)
+    dense[i, j] = dense[j, i] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    assert not dense.any()
 
 
 # --- Laplacian -------------------------------------------------------------

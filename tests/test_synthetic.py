@@ -10,9 +10,9 @@ from otgrid.synthetic import (
     dirac,
     forward_sequence,
     gaussian,
-    moving_gaussian_sequence,
     render_metric,
 )
+from sequences import moving_gaussian_sequence
 
 
 def test_dirac_basics():
@@ -212,11 +212,3 @@ def test_moving_gaussian_hits_middle_waypoint():
         spec, [(1.0, 1.0), (7.0, 4.0), (1.0, 7.0)], 0.8, 5)
     # t=0.5 is the middle waypoint of a 3-point polyline
     assert np.unravel_index(np.argmax(seq.frames[2]), (9, 9)) == (7, 4)
-
-
-def test_moving_gaussian_validation():
-    spec = GridSpec((5, 5))
-    with pytest.raises(ValueError):
-        moving_gaussian_sequence(spec, [(1.0, 1.0)], 1.0, 4)
-    with pytest.raises(ValueError):
-        moving_gaussian_sequence(spec, [(1, 1), (3, 3)], 1.0, 1)
