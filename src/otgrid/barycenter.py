@@ -15,12 +15,23 @@ prod_r (K u_r)^{lambda_r} (log space) for a barycenter, or a fixed
 histogram for the scalings of the plan diag(u) K diag(v) between a and b.
 Every forward kernel application is ``DiffusionOperator.apply``.
 
-Displacement interpolation between two histograms is the R=2 barycenter
-with weights (1-t, t).  The backward pass replays the recorded sweeps in
-reverse, combining the adjoint of each pointwise operation with one
-vector-Jacobian product per kernel application: it returns the input
-adjoint K g and adds the application's weight gradient to the operator's
-gradient accumulator (see ``otgrid.diffusion``).
+The weights lambda are one row of R weights per frame, an (F, R) array.
+All frames share the inputs a_r and run through the same sweeps, so u_r
+and v_r are (F, N) blocks and each kernel application acts on the block
+of one input: 2R applications per sweep, whatever F is.  Displacement
+interpolation between two histograms is the R=2 barycenter with weights
+(1-t, t), and a sequence's frames at times t_i are one call with rows
+(1-t_i, t_i).
+
+A recorded call keeps, per sweep, K v_r and K u_r of every input and frame
+and the targets b: arrays indexed [sweep, input, frame, vertex] and
+[sweep, frame, vertex], 8 L F N (2R + 1) bytes.  The backward pass replays
+the sweeps in reverse.  It rebuilds the scalings u_r = a_r / (K v_r) and
+v_r = b / (K u_r) bit for bit from the tape, combines the adjoint of each
+pointwise operation with one vector-Jacobian product per kernel
+application (``pull``), which returns the input adjoint K g and adds the
+application's weight gradient to the operator's gradient accumulator (see
+``otgrid.diffusion``), and flushes the accumulator once per sweep.
 """
 
 from __future__ import annotations
@@ -67,64 +78,56 @@ def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
 class BarycenterTape:
     """Per-sweep record of the Sinkhorn loop.
 
-    Arrays are indexed [sweep, input, vertex]; ``states_v`` / ``states_u``
-    are indexed [sweep, input, substep, vertex] and hold the recorded solve
-    states of the K v_r and K u_r applications.  The scalings u, v, Kv, Ku
-    are always recorded; ``op``, ``lam``, the targets ``b`` ([sweep,
-    vertex]) and the solve states are what the backward pass needs on top,
-    and stay None in a history of two-marginal scalings.  The solve states
-    are recorded only for an operator without a dense kernel.
+    ``kv`` and ``ku`` are indexed [sweep, input, frame, vertex] and hold the
+    guarded kernel applications K v_r and K u_r; they are always recorded.
+    ``op``, the inputs a_r, the (F, R) weights ``lam`` and the v-targets ``b``
+    ([sweep, frame, vertex]) are what the backward pass needs on top, and stay
+    None in a history of two-marginal scalings.  The scalings are not kept:
+    u_r = a_r / Kv_r and v_r = b / Ku_r are rebuilt from them bit for bit, and
+    the solve states of an application, on the solve path, by its pull.
     """
 
-    u: np.ndarray
-    v: np.ndarray
     kv: np.ndarray
     ku: np.ndarray
     op: DiffusionOperator | None = None
+    inputs: np.ndarray | None = None
     lam: np.ndarray | None = None
     b: np.ndarray | None = None
-    states_v: np.ndarray | None = None
-    states_u: np.ndarray | None = None
     clamps: int = 0
 
 
 def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=None):
     """Run ``iters`` sweeps from v_r = 1 and return ``(u, v, b)``.
 
-    The v-target b is ``target`` when given, else the ``lam``-weighted
-    geometric mean of the K u_r.  ``tape`` receives every sweep, with the
-    solve states when its state arrays are set.  Denominators below 1e-300
-    are clamped and reported once, as a DegeneracyWarning at the caller of
-    the public function that called this one.
+    Every frame runs the same sweeps on the same inputs a: u and v are
+    (R, F, N) and b is (F, N), and each kernel application acts on the
+    (F, N) block of one input.  The v-target b is ``target`` when given
+    (one frame), else the geometric mean of the K u_r weighted by the rows
+    of the (F, R) ``lam``.  ``tape`` receives every sweep.  Denominators
+    below 1e-300 are clamped and reported once, as a DegeneracyWarning at
+    the caller of the public function that called this one.
     """
     r_count, n = a.shape
-    record = tape is not None and tape.states_v is not None
+    frames = 1 if lam is None else len(lam)
     clamps = [0]
-    v = np.ones((r_count, n))
-    u = np.empty((r_count, n))
-    kv = np.empty((r_count, n))
-    ku = np.empty((r_count, n))
+    v = np.ones((r_count, frames, n))
+    u = np.empty_like(v)
+    kv = np.empty_like(v)
+    ku = np.empty_like(v)
     b = target
     for l in range(iters):
         for r in range(r_count):
-            kv_r, sv = op.apply(v[r], record)
-            kv[r] = _guard(kv_r, clamps)
+            kv[r] = _guard(op.apply(v[r].T)[0].T, clamps)
             u[r] = a[r] / kv[r]
-            ku_r, su = op.apply(u[r], record)
-            ku[r] = _guard(ku_r, clamps)
-            if record:
-                tape.states_v[l, r] = sv
-                tape.states_u[l, r] = su
+            ku[r] = _guard(op.apply(u[r].T)[0].T, clamps)
         if target is None:
-            logb = np.zeros(n)
+            logb = np.zeros((frames, n))
             for r in range(r_count):
-                logb += lam[r] * np.log(ku[r])
+                logb += lam[:, r, None] * np.log(ku[r])
             b = np.exp(logb)
         for r in range(r_count):
             v[r] = b / ku[r]
         if tape is not None:
-            tape.u[l] = u
-            tape.v[l] = v
             tape.kv[l] = kv
             tape.ku[l] = ku
             if tape.b is not None:
@@ -141,70 +144,76 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=No
 
 
 def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = False):
-    """Weighted barycenter of ``inputs`` under the kernel of ``op``.
+    """Weighted barycenters of ``inputs`` under the kernel of ``op``.
 
+    ``lam`` holds one weight per input, or one row of them per frame: an
+    (F, R) ``lam`` gives the F barycenters as an (F, N) array, all from one
+    run of the sweeps, and a 1-D ``lam`` one barycenter of shape (N,).
     Returns ``(b, tape)``; ``tape`` is None unless ``record`` is set.
     Exactly ``iters`` sweeps run.  Degenerate denominators are clamped at
     1e-300 and reported once per call as a DegeneracyWarning.
     """
     a = _check_histograms(op, inputs, iters)
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (a.shape[0],):
-        raise ValueError("need one weight per input histogram")
-    if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-12:
-        raise ValueError("barycenter weights must be a probability vector")
+    rows = np.atleast_2d(lam)
     r_count, n = a.shape
+    if lam.ndim not in (1, 2) or rows.shape[1] != r_count or not len(rows):
+        raise ValueError("need one weight per input histogram in every frame")
+    if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+        raise ValueError("barycenter weights must be probability vectors")
     tape = None
     if record:
-        states = (iters, r_count, op.substeps, n)
+        frames = len(rows)
         tape = BarycenterTape(
-            *(np.empty((iters, r_count, n)) for _ in range(4)),
+            np.empty((iters, r_count, frames, n)),
+            np.empty((iters, r_count, frames, n)),
             op=op,
-            lam=lam.copy(),
-            b=np.empty((iters, n)),
+            inputs=a,
+            lam=rows.copy(),
+            b=np.empty((iters, frames, n)),
         )
-        if op.kernel is None:
-            tape.states_v, tape.states_u = np.empty(states), np.empty(states)
-    _, _, b = _sweeps(op, a, iters, lam=lam, tape=tape)
-    return b, tape
+    _, _, b = _sweeps(op, a, iters, lam=rows, tape=tape)
+    return (b if lam.ndim == 2 else b[0]), tape
 
 
 def barycenter_backward(tape: BarycenterTape, gbar, accumulator=None):
     """Gradient of a scalar loss with respect to the edge weights.
 
-    ``gbar`` is the loss gradient at the barycenter output.  The sweeps are
-    replayed newest-first; one ``pull`` per kernel application gives its
-    input adjoint and adds its weight gradient, and the initial scalings
-    v_r = 1 are constants, so their incoming gradient is dropped.  Returns
-    the gradient, or adds it to ``accumulator`` (from
-    ``op.gradient_accumulator()``, shared by many barycenters and finalized
-    by the caller) and returns None.
+    ``gbar`` is the loss gradient at the barycenter output, shaped as that
+    output.  The sweeps are replayed newest-first, with the scalings rebuilt
+    from the tape; one ``pull`` per kernel application (on the block of all
+    frames) gives its input adjoint and adds its weight gradient, and the
+    accumulator is flushed once per sweep.  The initial scalings v_r = 1 are
+    constants, so their incoming gradient is dropped.  Returns the gradient,
+    or adds it to ``accumulator`` (from ``op.gradient_accumulator()``, shared
+    by many barycenters and finalized by the caller) and returns None.
     """
-    gbar = np.asarray(gbar, dtype=np.float64)
-    iters, r_count, n = tape.u.shape
+    iters, r_count, frames, n = tape.kv.shape
     op = tape.op
     if n != op.num_vertices:
         raise ValueError("tape does not match the operator it was recorded with")
+    gbar = np.asarray(gbar, dtype=np.float64)
+    if gbar.size != frames * n:
+        raise ValueError("need one gradient entry per barycenter entry")
+    gbar = gbar.reshape(frames, n)
     acc = op.gradient_accumulator() if accumulator is None else accumulator
-    ones = np.ones(n)
-    gv = np.zeros((r_count, n))
+    a, lam, kv, ku, b = tape.inputs, tape.lam, tape.kv, tape.ku, tape.b
+    ones = np.ones((frames, n))
+    gv = np.zeros((r_count, frames, n))
     for l in range(iters - 1, -1, -1):
-        gb = gbar.copy() if l == iters - 1 else np.zeros(n)
+        gb = gbar.copy() if l == iters - 1 else np.zeros((frames, n))
         for r in range(r_count):
-            gb += gv[r] / tape.ku[l, r]
+            gb += gv[r] / ku[l, r]
         for r in range(r_count):
-            ku = tape.ku[l, r]
-            gq = tape.lam[r] * gb * tape.b[l] / ku - gv[r] * tape.v[l, r] / ku
-            gu = acc.pull(gq, tape.u[l, r], _states(tape.states_u, l, r))
-            gp = -gu * tape.u[l, r] / tape.kv[l, r]
-            v_in = tape.v[l - 1, r] if l else ones
-            gv[r] = acc.pull(gp, v_in, _states(tape.states_v, l, r))
-    acc.flush()
+            u = a[r] / kv[l, r]
+            v = b[l] / ku[l, r]
+            gq = lam[:, r, None] * gb * b[l] / ku[l, r] - gv[r] * v / ku[l, r]
+            gu = acc.pull(gq, u)
+            gp = -gu * u / kv[l, r]
+            v_in = b[l - 1] / ku[l - 1, r] if l else ones
+            gv[r] = acc.pull(gp, v_in)
+        acc.flush()
     return acc.finalize() if accumulator is None else None
-
-
-def _states(states, l, r):
-    return None if states is None else states[l, r]
 
 
 def interpolate(op: DiffusionOperator, r0, r1, t: float, iters: int) -> np.ndarray:
@@ -238,10 +247,11 @@ def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = F
         raise ValueError("need one source and one target histogram")
     tape = None
     if history:
-        tape = BarycenterTape(*(np.empty((iters, 1, op.num_vertices)) for _ in range(4)))
+        tape = BarycenterTape(*(np.empty((iters, 1, 1, op.num_vertices)) for _ in range(2)))
     u, v, _ = _sweeps(op, a, iters, target=b[0], tape=tape)
     if history:
-        states = [{"u": tape.u[l, 0], "v": tape.v[l, 0], "kv": tape.kv[l, 0],
-                   "ku": tape.ku[l, 0]} for l in range(iters)]
-        return u[0], v[0], states
-    return u[0], v[0]
+        # the scalings of each sweep, rebuilt from its kernel applications
+        states = [{"u": a[0] / tape.kv[l, 0, 0], "v": b[0] / tape.ku[l, 0, 0],
+                   "kv": tape.kv[l, 0, 0], "ku": tape.ku[l, 0, 0]} for l in range(iters)]
+        return u[0, 0], v[0, 0], states
+    return u[0, 0], v[0, 0]

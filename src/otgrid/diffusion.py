@@ -26,20 +26,21 @@ formula only for distances up to about t' cells: along an axis
 K is applied on one of two paths.  By default an application is S
 successive banded solves against the Cholesky factor of M.  On a grid of
 at most DENSE_MAX vertices (read at assembly), the first request for a
-gradient accumulator forms Minv = M^-1 with one N-column solve and
-K = Minv^S by matrix products; from then on an application is one
-matrix-vector product.  Only differentiated operators pay for K: a
-forward-only caller (interpolation, color transfer) makes few enough
-applications per assembly that its N^3 products need not pay off (a
-30x30 interpolation and a 10^3 color transfer ran slower with them), so
-it stays on the solves.  M is an M-matrix, so Minv is entrywise
-nonnegative and every entry of K, a product of nonnegative factors, is
-positive and accurate to relative rounding (no eigendecomposition, whose
-cancellation gives negative entries).  Where a lower bound on the
-entries of K falls near the underflow range (tiny eps, where the
-products would lose terms that the solves keep), K is not formed and the
-solves stay; an upper bound on the entries of Minv, checked at assembly,
-spares most such operators the N-column solve.
+gradient accumulator forms Minv = M^-1 with one N-column solve and K =
+Minv^S by matrix products; from then on an application to a block of
+columns is one product of their transpose, as rows, with K.  Only
+differentiated operators pay for K: a forward-only caller
+(interpolation, color transfer) makes few enough applications per
+assembly that its N^3 products need not pay off (a 30x30 interpolation
+and a 10^3 color transfer ran slower with them), so it stays on the
+solves.  M is an M-matrix, so Minv is entrywise nonnegative and every
+entry of K, a product of nonnegative factors, is positive and accurate
+to relative rounding (no eigendecomposition, whose cancellation gives
+negative entries).  Where a lower bound on the entries of K falls near
+the underflow range (tiny eps, where the products would lose terms that
+the solves keep), K is not formed and the solves stay; an upper bound on
+the entries of Minv, checked at assembly, spares most such operators the
+N-column solve.
 
 The derivative of a scalar through one application of K to x, with
 downstream gradient g, has a closed form.  With x_l = M^-l x and
@@ -48,20 +49,27 @@ axis a is
 
     -(eps/4S) / h_a^2 * sum_{k=1..S} (g_k[i] - g_k[j]) * (x_(S+1-k)[i] - x_(S+1-k)[j])
 
-(the leading minus is pinned by finite differences; see the tests).  On
-the solve path the x_l are the recorded solve states of the forward
-chain, and one chain of S solves on g gives every g_k and, as its last
-state, K g, the input adjoint (K is symmetric).  On the dense path the sum
-is the edge quadratic form G_ii + G_jj - G_ij - G_ji of
+(the leading minus is pinned by finite differences; see the tests).  For
+a block of vectors (one per frame) the derivative is the sum over them.
+On the solve path the states x_l are not taped: the pull of each
+application rebuilds them by one chain of S solves on x, just before one
+chain of S solves on g gives every g_k and, as its last state, K g, the
+input adjoint (K is symmetric).  That is sweep-level checkpointing
+(Griewank & Walther 2008, *Evaluating Derivatives*, ch. 12): one more
+S-solve chain per differentiated application buys a tape S times
+smaller.  On the dense path the sum is the edge quadratic form
+G_ii + G_jj - G_ij - G_ji of
 
     G = sum_{k=1..S} Minv^k A Minv^(S+1-k),   A = g x^T,
 
 the adjoint of the Frechet derivative of X -> X^-S (Higham 2008,
 *Functions of Matrices*, ch. 3).  G is linear in A, so the weight gradient
-of any number of applications follows from their summed A.  The edge form
-needs only G + G^T = X T(S) X, where X = Minv, A_s = A + A^T and
-T(m) = sum_{k<m} X^k A_s X^(m-1-k) is symmetric; T(S) is built by
-doubling over the bits of S, as a matrix power is:
+of any number of applications follows from their summed A.  The pulled g
+and x rows are kept until the batch ends (one backward sweep) and then
+added to A by one matrix product per panel of rows of A, with no N x N
+temporary.  The edge form needs only G + G^T = X T(S) X, where X = Minv,
+A_s = A + A^T and T(m) = sum_{k<m} X^k A_s X^(m-1-k) is symmetric; T(S)
+is built by doubling over the bits of S, as a matrix power is:
 
     T(2m) = Y + Y^T,  Y = P T(m);    T(m+1) = (Y + Y^T) / 2,  Y = X T(m) + A_s P
 
@@ -93,6 +101,13 @@ DENSE_MAX = 1024
 # least DENSE_MAX/eps times that float has so lost at most relative
 # rounding.  Only a K whose lower bound clears it is formed.
 _KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# Rows of A updated per matrix product when a batch of pulls is flushed.
+# numpy's BLAS does these products, as it does the applications of K.
+# scipy's dgemm could add into A in place, but a second BLAS, with its own
+# thread pool, in the loop made one desk evaluation take 0.58-0.62 s
+# instead of 0.27-0.30 s under the default BLAS threads of a shared 2-core
+# box; on one thread the two took the same time.
+_PANEL = 64
 
 
 def _finite(x) -> np.ndarray:
@@ -192,11 +207,12 @@ class DiffusionOperator:
         else the array of the S solves' outputs, whose entry l is
         M^{-(l+1)} v, so the last entry equals ``u``.  A recorded
         application always runs the S solves; otherwise the dense K is used
-        where the operator has one.
+        where the operator has one, as (v^T K)^T: K is symmetric, and the
+        columns as rows times K is the faster product.
         """
         v = _finite(v)
         if self.kernel is not None and not record:
-            return self.kernel @ v, None
+            return (v.T @ self.kernel).T, None
         states = np.empty((self.substeps,) + v.shape) if record else None
         x = v
         for l in range(self.substeps):
@@ -212,36 +228,40 @@ class DiffusionOperator:
     def adjoint_weights(self, states: np.ndarray, g: np.ndarray):
         """Both vector-Jacobian products of <g, K v> from one solve chain.
 
-        ``states`` is the recorded (S, N) array of K v.  Returns ``(K g, dw)``:
-        the gradient pulled back to v and the per-edge weight gradient.
+        ``g`` is a vector or an (N, k) block, and ``states`` the recorded
+        (S,) + g.shape array of K v.  Returns ``(K g, dw)``: the gradient
+        pulled back to v and the per-edge weight gradient, summed over the
+        columns.
         """
-        n = self.num_vertices
-        if states.shape != (self.substeps, n):
-            raise ValueError(
-                "tape shape %r does not match operator (S=%d, N=%d)"
-                % (states.shape, self.substeps, n)
-            )
         g = _finite(g)
+        if states.shape != (self.substeps,) + g.shape:
+            raise ValueError(
+                "tape shape %r does not match operator (S=%d) and gradient %r"
+                % (states.shape, self.substeps, g.shape)
+            )
         i, j = self._i, self._j
         acc = np.zeros(len(i))
         gcur = g
         for k in range(1, self.substeps + 1):
             gcur = self.solve(gcur)
-            x = states[self.substeps - k]
-            acc += (gcur[j] - gcur[i]) * (x[j] - x[i])
+            # one row of edge differences per column; np.take on the
+            # transposes gathers along their rows, the fast direction
+            gt, xt = gcur.T, states[self.substeps - k].T
+            dg = np.take(gt, j, axis=-1) - np.take(gt, i, axis=-1)
+            dg *= np.take(xt, j, axis=-1) - np.take(xt, i, axis=-1)
+            acc += dg.reshape(-1, len(i)).sum(axis=0)
         return gcur, -self._coeff * acc
 
     def gradient_accumulator(self):
         """A fresh sum of weight gradients over many kernel applications.
 
-        ``pull(g, x, states)`` returns K g for the application of K to x
-        with downstream gradient g (``states`` its recorded solve states,
-        needed only without a dense K) and adds that application's weight
-        gradient; ``flush()`` marks the end of a batch of pulls (one
-        barycenter's); ``finalize()``, called once, returns the summed
-        per-edge gradient.  The first call forms the dense K where the
-        operator allows one, so applications after it, the forward passes
-        to be differentiated included, use it.
+        ``pull(g, x)`` returns K g for the application of K to x (an (F, N)
+        block of one vector per row) with downstream gradient g, and adds
+        that application's weight gradient; ``flush()`` marks the end of a
+        batch of pulls (one backward sweep's); ``finalize()``, called once,
+        returns the summed per-edge gradient.  The first call forms the
+        dense K where the operator allows one, so applications after it,
+        the forward passes to be differentiated included, use it.
         """
         self._form_kernel()
         if self.kernel is None:
@@ -266,16 +286,18 @@ class DiffusionOperator:
 
 
 class _ChainGradient:
-    """Solve path: one S-solve chain per application, its dw summed."""
+    """Solve path: per application, one S-solve chain rebuilds the states of
+    x and one more pulls g back; their dw are summed."""
 
     def __init__(self, op: DiffusionOperator):
         self._op = op
         self._dw = np.zeros(edge_count(op.spec))
 
-    def pull(self, g, x, states):
-        kg, dw = self._op.adjoint_weights(states, g)
+    def pull(self, g, x):
+        _, states = self._op.apply(x.T, record=True)
+        kg, dw = self._op.adjoint_weights(states, g.T)
         self._dw += dw
-        return kg
+        return kg.T
 
     def flush(self):
         pass
@@ -285,8 +307,9 @@ class _ChainGradient:
 
 
 class _DenseGradient:
-    """Dense path: the (g, x) pairs of each batch are added to A = sum g x^T
-    by one matrix product, and G(A) is formed once in ``finalize``."""
+    """Dense path: the (g, x) rows pulled since the last flush are added to
+    A = sum g x^T by one matrix product per panel of rows of A, and G(A) is
+    formed once in ``finalize``."""
 
     def __init__(self, op: DiffusionOperator):
         n = op.num_vertices
@@ -294,17 +317,23 @@ class _DenseGradient:
         self._a = np.zeros((n, n))
         self._g = []
         self._x = []
+        # a panel of rows of the product, so that no N x N temporary is formed
+        self._w = np.empty((_PANEL, n))
 
-    def pull(self, g, x, states):
-        kg = self._op.apply(g)[0]
+    def pull(self, g, x):
         self._g.append(g)
         self._x.append(x)
-        return kg
+        return self._op.apply(g.T)[0].T
 
     def flush(self):
         if self._g:
-            self._a += np.stack(self._g).T @ np.stack(self._x)
+            gt, x = np.concatenate(self._g).T, np.concatenate(self._x)
             self._g, self._x = [], []
+            for p in range(0, len(gt), _PANEL):
+                panel = gt[p:p + _PANEL]
+                w = self._w[:len(panel)]
+                np.matmul(panel, x, out=w)
+                self._a[p:p + _PANEL] += w
 
     def finalize(self) -> np.ndarray:
         self.flush()

@@ -13,12 +13,14 @@ The total over all sequences is
 optimized in the log domain: the caller supplies wlog, the gradient is
 returned with respect to wlog (chain rule g = dE/dw * w).
 
-Reduction order is fixed and documented for bit-reproducibility: frame
-values accumulate in index order into a per-sequence subtotal, subtotals
-then accumulate in sequence order, regularizers are added last.  Frames
-are computed one after another in that same order, and the weight
-gradients of all their kernel applications go, in that order, into one
-gradient accumulator that is finalized once per evaluation.
+The frames of a sequence share its endpoints, so they are one barycenter
+call with one weight row (1 - t_i, t_i) per frame and one backward pass;
+sequences run one after another.  Reduction order is fixed and documented
+for bit-reproducibility: frame values accumulate in index order into a
+per-sequence subtotal, subtotals then accumulate in sequence order,
+regularizers are added last.  The weight gradients of all kernel
+applications go, sequence by sequence, into one gradient accumulator that
+is finalized once per evaluation.
 """
 
 from __future__ import annotations
@@ -155,23 +157,27 @@ def reg_smooth(spec: GridSpec, w):
 # --- full objective ---------------------------------------------------------
 
 
-def _frame_term(op, iters: int, seq: Sequence, i: int, kind: str, grad_acc) -> float:
-    endpoints = np.stack([seq.frames[0], seq.frames[-1]])
-    t = seq.timestamps[i]
-    lam = np.array([1.0 - t, t])
-    recon, tape = barycenter(op, endpoints, lam, iters, record=True)
-    val = loss_value(kind, recon, seq.frames[i])
-    gbar = loss_grad(kind, recon, seq.frames[i])
+def _sequence_term(op, iters: int, seq: Sequence, kind: str, grad_acc) -> float:
+    """Data fit of one sequence: every frame against the barycenter of the
+    endpoints at its timestamp, all frames from one barycenter call."""
+    t = seq.timestamps
+    recon, tape = barycenter(op, seq.frames[[0, -1]], np.stack([1.0 - t, t], axis=1), iters,
+                             record=True)
+    sub_val = 0.0
+    gbar = np.empty_like(recon)
+    for i in range(seq.num_frames):
+        sub_val += loss_value(kind, recon[i], seq.frames[i])
+        gbar[i] = loss_grad(kind, recon[i], seq.frames[i])
     barycenter_backward(tape, gbar, grad_acc)
-    return val
+    return sub_val
 
 
 def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool = False):
     """Objective value and gradient with respect to log-weights.
 
     One operator is assembled and factorized per evaluation and shared by
-    every frame, and so is one weight-gradient accumulator; frames are
-    computed and reduced in the fixed documented order.  ``threads`` is
+    every sequence, and so is one weight-gradient accumulator; frame values
+    are reduced in the fixed documented order.  ``threads`` is
     accepted for compatibility and has no effect.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
@@ -179,16 +185,13 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
         raise ValueError("non-finite log-weights")
     w = np.exp(wlog)
     op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
-    # requested before the frames, so that their forward passes run on the
-    # dense K where the accumulator forms one
+    # requested before the sequences, so that their forward passes run on
+    # the dense K where the accumulator forms one
     grad_acc = op.gradient_accumulator()
 
     data_fit = 0.0
     for seq in obj.sequences:
-        sub_val = 0.0
-        for i in range(seq.num_frames):
-            sub_val += _frame_term(op, obj.sinkhorn_iters, seq, i, obj.loss, grad_acc)
-        data_fit += sub_val
+        data_fit += _sequence_term(op, obj.sinkhorn_iters, seq, obj.loss, grad_acc)
     del op  # lets finalize free a dense K before its recursion
     dw_data = grad_acc.finalize()
 

@@ -278,9 +278,10 @@ def test_backward_three_inputs():
         assert dw[e] == pytest.approx(fd, rel=2e-4, abs=1e-9)
 
 
-def test_backward_runs_one_solve_chain_per_kernel_application(monkeypatch):
-    """Each of the 2R kernel applications of a sweep is pulled back by one
-    chain of S solves that yields both its input and its weight adjoint."""
+def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
+    """Each of the 2R kernel applications of a sweep is pulled back by two
+    chains of S solves: one rebuilds its solve states, which the tape does
+    not keep, and one yields both its input and its weight adjoint."""
     monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the solve path
     spec = GridSpec((4, 3))
     iters, substeps = 3, 4
@@ -297,7 +298,7 @@ def test_backward_runs_one_solve_chain_per_kernel_application(monkeypatch):
 
     op.solve = counted
     barycenter_backward(tape, np.ones(spec.num_vertices))
-    assert solves[0] == iters * r_count * 2 * substeps
+    assert solves[0] == iters * r_count * 2 * 2 * substeps
 
 
 def test_backward_requires_matching_operator():

@@ -1,0 +1,139 @@
+"""Equivalence gate: one barycenter for all frames against one per frame.
+
+A barycenter with (F, R) weights runs every frame through one loop, each
+kernel application acting on an (F, N) block, and the objective makes one
+such call per sequence.  The reference is the per-frame path: one call
+with a 1-D weight vector per frame, and, for the objective, one recorded
+barycenter and one backward pass per frame into a shared accumulator.
+Both are checked at 1e-13 on the dense path (20x20) and on the solve path
+(6x5x4 with ``DENSE_MAX`` patched to 0).
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from otgrid import diffusion
+from otgrid.barycenter import DegeneracyWarning, barycenter, barycenter_backward
+from otgrid.diffusion import assemble
+from otgrid.grids import GridSpec, edge_count
+from otgrid.objective import Objective, evaluate_with_grad, loss_grad, loss_value
+from test_dense_engine import CLAMP_EPSILON, GRIDS, RTOL, blob_sequence, corner_diracs, rel_diff
+
+ITERS, SUBSTEPS, EPSILON = 10, 8, 1.2e-2
+
+
+def grid_id(dims):
+    return "x".join(map(str, dims))
+
+
+@pytest.fixture(params=GRIDS, ids=grid_id)
+def spec(request, monkeypatch):
+    """The grid, with the 6x5x4 one on the solve path."""
+    if request.param != (20, 20):
+        monkeypatch.setattr(diffusion, "DENSE_MAX", 0)
+    return GridSpec(request.param)
+
+
+def operator(spec, seed=2):
+    """An operator asked for an accumulator, so that it is on the path that
+    evaluations use: the dense K on 20x20, the solves on 6x5x4."""
+    w = np.exp(np.random.default_rng(seed).normal(0.0, 0.3, edge_count(spec)))
+    op = assemble(spec, w, EPSILON, SUBSTEPS)
+    op.gradient_accumulator()
+    assert (op.kernel is not None) == (spec.dims == (20, 20))
+    return op
+
+
+def weight_rows(frames, inputs, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(inputs), frames)
+
+
+@pytest.mark.parametrize("frames", [2, 7])
+def test_block_rows_match_single_frame_calls(spec, frames):
+    op = operator(spec)
+    rng = np.random.default_rng(4)
+    h = rng.uniform(0.05, 1.0, (3, spec.num_vertices))
+    h /= h.sum(axis=1, keepdims=True)
+    lam = weight_rows(frames, 3, 5)
+    block, _ = barycenter(op, h, lam, ITERS)
+    assert block.shape == (frames, spec.num_vertices)
+    for f in range(frames):
+        assert rel_diff(block[f], barycenter(op, h, lam[f], ITERS)[0]) <= RTOL
+
+
+def per_frame_evaluation(obj, wlog):
+    """Value and log-weight gradient of the data fit, one frame at a time."""
+    w = np.exp(wlog)
+    op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
+    acc = op.gradient_accumulator()
+    total = 0.0
+    for seq in obj.sequences:
+        sub_val = 0.0
+        for i, t in enumerate(seq.timestamps):
+            recon, tape = barycenter(op, seq.frames[[0, -1]], np.array([1.0 - t, t]),
+                                     obj.sinkhorn_iters, record=True)
+            sub_val += loss_value(obj.loss, recon, seq.frames[i])
+            barycenter_backward(tape, loss_grad(obj.loss, recon, seq.frames[i]), acc)
+        total += sub_val
+    return total, acc.finalize() * w
+
+
+@pytest.mark.parametrize("frames", [2, 7])
+@pytest.mark.parametrize("loss", ["l1", "l2", "kl"])
+def test_objective_matches_per_frame_loop(spec, loss, frames):
+    obj = Objective(spec, (blob_sequence(spec, frames),), EPSILON, SUBSTEPS, ITERS,
+                    loss=loss, lambda_s=0.0)
+    wlog = np.random.default_rng(3).normal(0.0, 0.3, edge_count(spec))
+    val, grad = evaluate_with_grad(obj, wlog)
+    val_ref, grad_ref = per_frame_evaluation(obj, wlog)
+    assert abs(val - val_ref) <= RTOL * abs(val_ref)
+    assert rel_diff(grad, grad_ref) <= RTOL
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=grid_id)
+def test_block_clamps_are_the_sum_over_frames(dims):
+    """At an epsilon where the kernel underflows, a block call clamps as
+    many denominators as its frames do one by one, and warns once."""
+    spec = GridSpec(dims)
+    op = assemble(spec, np.ones(edge_count(spec)), CLAMP_EPSILON[dims], 1)
+    h = corner_diracs(spec)
+    lam = np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        _, tape = barycenter(op, h, lam, 3, record=True)
+        singles = [barycenter(op, h, row, 3, record=True)[1].clamps for row in lam]
+    # one warning per call: the block's, then one per frame
+    assert len([x for x in rec if issubclass(x.category, DegeneracyWarning)]) == 1 + len(lam)
+    assert tape.clamps == sum(singles) and min(singles) > 0
+
+
+@pytest.mark.parametrize("frames", [1, 4])
+def test_tape_holds_only_the_kernel_applications_and_targets(spec, frames):
+    """Per sweep the tape keeps K v_r and K u_r of every input and frame and
+    the F targets: 8 iters F N (2R + 1) bytes.  The scalings and solve
+    states are rebuilt, so this is the same on both paths."""
+    op = operator(spec)
+    r_count, n = 2, spec.num_vertices
+    _, tape = barycenter(op, corner_diracs(spec), weight_rows(frames, r_count, 6), ITERS,
+                         record=True)
+    sweeps = [tape.kv, tape.ku, tape.b]
+    assert sum(x.nbytes for x in sweeps) == 8 * ITERS * frames * n * (2 * r_count + 1)
+    arrays = [x for x in vars(tape).values() if isinstance(x, np.ndarray)]
+    others = [x for x in arrays if not any(x is y for y in sweeps)]
+    # besides them, only the inputs and the weights
+    assert sorted(x.shape for x in others) == sorted([(r_count, n), (frames, r_count)])
+
+
+def test_block_weights_validation():
+    spec = GridSpec((3, 3))
+    op = assemble(spec, np.ones(edge_count(spec)), EPSILON, 2)
+    h = corner_diracs(spec)
+    for lam in (np.full((2, 3), 1.0 / 3.0),  # three weights for two inputs
+                np.array([[0.5, 0.5], [1.5, -0.5]]),  # a negative entry
+                np.array([[0.5, 0.5], [0.6, 0.6]]),  # a row that does not sum to 1
+                np.empty((0, 2)),  # no frames
+                np.full((1, 2, 2), 0.5)):  # neither one frame nor a block of them
+        with pytest.raises(ValueError):
+            barycenter(op, h, lam, 3)
