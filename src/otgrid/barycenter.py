@@ -65,6 +65,8 @@ def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
     if a.shape[-1] != op.num_vertices:
         raise ValueError("histogram length %d does not match grid size %d"
                          % (a.shape[-1], op.num_vertices))
+    if not np.isfinite(a).all():
+        raise ValueError("histograms have non-finite entries")
     if np.any(a < 0):
         raise ValueError("histograms must be nonnegative")
     sums = a.sum(axis=1)
@@ -159,6 +161,8 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     r_count, n = a.shape
     if lam.ndim not in (1, 2) or rows.shape[1] != r_count or not len(rows):
         raise ValueError("need one weight per input histogram in every frame")
+    if not np.isfinite(rows).all():
+        raise ValueError("barycenter weights have non-finite entries")
     if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
         raise ValueError("barycenter weights must be probability vectors")
     tape = None

@@ -170,6 +170,7 @@ def cmd_transfer(args) -> int:
 
     op = assemble(spec, w, cfg.epsilon, cfg.substeps)
     tmap, defined = colorlib.barycentric_map(op, source_hist, target, cfg.sinkhorn_iters)
+    del op  # free the banded factor before the per-pixel stages
     tmap = colorlib.fill_nearest(tmap, defined)
     out = colorlib.apply_color_map(src, tmap, n)
     if args.bilateral:

@@ -5,6 +5,15 @@ center ((j_r + 1/2)/n, (j_g + 1/2)/n, (j_b + 1/2)/n).  The transfer map
 sends each occupied source bin to the plan-weighted mean of target bin
 centers (barycentric projection), computed with kernel applications only
 — the full plan is never materialized.
+
+Bins the map leaves undefined take the value of the nearest defined bin
+(``fill_nearest``), by squared integer distance; among equally near bins
+the first in column-major order wins, which is the choice of scipy's
+Euclidean feature transform.  ``apply_color_map`` interpolates the map
+trilinearly at each pixel's color, with coordinates clamped to the bin
+centers [0, n - 1].  Both work in fixed-size chunks, of undefined bins and
+of pixels, so that their temporaries stay small whatever the grid or
+image size.
 """
 
 from __future__ import annotations
@@ -13,9 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt, map_coordinates
 
 from .barycenter import DIVIDE_FLOOR, sinkhorn_scalings
+
+_FILL_BLOCK = 1 << 18  # int32 entries (1 MB) of one (undefined, defined bins) distance block
+_MAP_CHUNK = 1 << 13  # pixels interpolated at a time
 
 
 class PpmFormatError(Exception):
@@ -79,6 +90,8 @@ class ColorHistogram:
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != (self.n,) * 3:
             raise ValueError("mass must have shape (n, n, n)")
+        if not np.isfinite(mass).all():
+            raise ValueError("mass has non-finite entries")
         if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
             raise ValueError("mass must be a normalized histogram")
         object.__setattr__(self, "mass", mass)
@@ -127,12 +140,40 @@ def barycentric_map(op, a: ColorHistogram, b: ColorHistogram, iters: int):
 def fill_nearest(tmap, defined) -> np.ndarray:
     """Fill undefined bins with the value of the nearest defined bin."""
     defined = np.asarray(defined, dtype=bool)
-    if defined.all():
-        return np.array(tmap, copy=True)
     if not defined.any():
         raise ValueError("no defined bins to fill from")
-    ind = distance_transform_edt(~defined, return_distances=False, return_indices=True)
-    return np.array(tmap)[tuple(ind)]
+    out = np.array(tmap)
+    # column-major candidate order, so that argmin breaks distance ties the
+    # way the feature transform does
+    src = np.argwhere(defined.T)[:, ::-1].astype(np.int32)
+    holes = np.argwhere(~defined).astype(np.int32)
+    step = max(1, _FILL_BLOCK // len(src))
+    for start in range(0, len(holes), step):
+        h = holes[start:start + step]
+        d2 = np.zeros((len(h), len(src)), dtype=np.int32)
+        for axis in range(defined.ndim):
+            diff = h[:, axis, None] - src[None, :, axis]
+            diff *= diff
+            d2 += diff
+        near = src[d2.argmin(axis=1)]
+        out[tuple(h.T)] = out[tuple(near.T)]
+    return out
+
+
+def _trilinear(pixels, table, n: int) -> np.ndarray:
+    """The (n^3, 3) map ``table`` interpolated at (m, 3) 8-bit colors."""
+    coords = pixels.T.astype(np.float64) / 255.0 * n - 0.5
+    np.clip(coords, 0.0, n - 1.0, out=coords)
+    lo = np.minimum(coords.astype(np.intp), n - 2)  # the last cell holds n - 1
+    hi_w = coords - lo
+    weights = (1.0 - hi_w, hi_w)  # [bit][channel]: the weight of the lower or upper corner
+    base = (lo[0] * n + lo[1]) * n + lo[2]
+    acc = np.zeros(pixels.shape)
+    for r, g, b in np.ndindex(2, 2, 2):
+        wgt = weights[r][0] * weights[g][1]
+        wgt *= weights[b][2]
+        acc += wgt[:, None] * np.take(table, base + ((r * n + g) * n + b), axis=0)
+    return acc
 
 
 def apply_color_map(img, tmap, n: int) -> np.ndarray:
@@ -141,13 +182,15 @@ def apply_color_map(img, tmap, n: int) -> np.ndarray:
     tmap = np.asarray(tmap, dtype=np.float64)
     if tmap.shape != (n, n, n, 3):
         raise ValueError("map must have shape (n, n, n, 3)")
-    coords = img.astype(np.float64) / 255.0 * n - 0.5
-    coords = np.clip(coords, 0.0, n - 1.0)
-    flat = coords.reshape(-1, 3).T
-    out = np.empty_like(flat)
-    for c in range(3):
-        out[c] = map_coordinates(tmap[..., c], flat, order=1, mode="nearest")
-    out = np.clip(np.rint(out.T * 255.0), 0, 255).astype(np.uint8)
+    table = tmap.reshape(n**3, 3)
+    pixels = img.reshape(-1, 3)
+    out = np.empty(pixels.shape, dtype=np.uint8)
+    for start in range(0, len(pixels), _MAP_CHUNK):
+        acc = _trilinear(pixels[start:start + _MAP_CHUNK], table, n)
+        acc *= 255.0
+        np.rint(acc, out=acc)
+        np.clip(acc, 0, 255, out=acc)
+        out[start:start + _MAP_CHUNK] = acc
     return out.reshape(img.shape)
 
 

@@ -129,8 +129,8 @@ class DiffusionOperator:
     """
 
     def __init__(self, spec: GridSpec, w, epsilon: float, substeps: int):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < epsilon < np.inf:  # NaN fails here too
+            raise ValueError("epsilon must be finite and > 0, got %r" % (epsilon,))
         if substeps < 1:
             raise ValueError("substeps must be >= 1")
         w = check_weights(spec, w)

@@ -49,6 +49,8 @@ class Sequence:
         frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 2:
             raise ValueError("a sequence needs at least two frames")
+        if not np.isfinite(frames).all():
+            raise ValueError("frames have non-finite entries")
         if np.any(frames < 0):
             raise ValueError("frames must be nonnegative")
         if np.any(np.abs(frames.sum(axis=1) - 1.0) > 1e-12):
@@ -56,6 +58,8 @@ class Sequence:
         ts = np.asarray(self.timestamps, dtype=np.float64)
         if ts.shape != (frames.shape[0],):
             raise ValueError("need one timestamp per frame")
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps have non-finite entries")
         if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
             raise ValueError("timestamps must increase from 0 to 1")
         object.__setattr__(self, "frames", frames)

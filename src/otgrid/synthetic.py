@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .barycenter import interpolate
 from .diffusion import assemble
@@ -144,8 +143,29 @@ def _region_mask(region: Region, midpoints) -> np.ndarray:
     return sq <= (region.radius or 0.0) ** 2
 
 
+def _box_mean(f: np.ndarray, radius: int) -> np.ndarray:
+    """Mean over the (2 radius + 1)-wide box around each entry, edges repeated.
+
+    One axis at a time, in increasing order: a running sum of the undivided
+    differences, divided by the box width at the end of each axis.
+    """
+    width = 2 * radius + 1
+    for axis in range(f.ndim):
+        pad = [(0, 0)] * f.ndim
+        pad[axis] = (radius, radius)
+        g = np.moveaxis(np.pad(f, pad, mode="edge"), axis, 0)
+        # the first window, then one entry in and one out per step
+        steps = np.concatenate([g[:width], g[width:] - g[:-width]])
+        f = np.moveaxis(np.cumsum(steps, axis=0)[width - 1:] / width, 0, axis)
+    return f
+
+
 def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
-    """Turn a pattern description into a strictly positive weight vector."""
+    """Turn a pattern description into a strictly positive weight vector.
+
+    A ``smooth_radius`` r > 0 replaces each field by its mean over the
+    (2r + 1)-wide box around every entry, with the edges repeated.
+    """
     if pattern.base <= 0:
         raise ConfigError("base must be > 0")
     axes = []
@@ -162,7 +182,7 @@ def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
             if a in region_axes:
                 f[_region_mask(region, mid)] *= region.factor
         if pattern.smooth_radius > 0:
-            f = uniform_filter(f, size=2 * pattern.smooth_radius + 1, mode="nearest")
+            f = _box_mean(f, pattern.smooth_radius)
         fields.append(f)
     return flatten_fields(fields)
 

@@ -171,6 +171,21 @@ def test_scalings_input_validation(fn):
         fn(op, np.stack([a, b]), b, 3)  # more than one source
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_fail_at_the_check(bad):
+    """A NaN sum passes |sum - 1| > tol, so finiteness is checked on its own."""
+    op = euclidean_op((3, 3))
+    a, b = random_histograms(op.spec, 2, 15)
+    poisoned = a.copy()
+    poisoned[4] = bad
+    with pytest.raises(ValueError, match="histograms have non-finite entries"):
+        barycenter(op, np.stack([poisoned, b]), np.array([0.5, 0.5]), 3)
+    with pytest.raises(ValueError, match="histograms have non-finite entries"):
+        sinkhorn_scalings(op, a, poisoned, 3)
+    with pytest.raises(ValueError, match="weights have non-finite entries"):
+        barycenter(op, np.stack([a, b]), np.array([[0.5, 0.5], [bad, 0.5]]), 3)
+
+
 def test_scaling_marginal_identity_every_sweep():
     """u = a/(Kv) makes u * (Kv) reproduce a after every u-update."""
     op = euclidean_op((6, 6))

@@ -89,6 +89,14 @@ def test_histogram_validation():
         ColorHistogram(4, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_histogram_rejects_non_finite_mass(bad):
+    mass = np.full((3, 3, 3), 1 / 27)
+    mass[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ColorHistogram(3, mass)
+
+
 def test_image_to_histogram_binning():
     # channel value c lands in bin floor(c*n/256), 255 in the last bin
     img = np.array([[[0, 64, 255], [128, 191, 192]]], dtype=np.uint8)

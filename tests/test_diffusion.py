@@ -67,6 +67,13 @@ def test_constructor_validation():
             DiffusionOperator(spec, w, 1.0, 5)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_constructor_names_a_non_finite_epsilon(epsilon):
+    spec = GridSpec((3, 3))
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        DiffusionOperator(spec, constant_weights(spec), epsilon, 5)
+
+
 def test_kernel_rows_sum_to_one():
     """M has zero row sums off identity, so K is stochastic: K 1 = 1."""
     rng = np.random.default_rng(2)

@@ -131,6 +131,16 @@ def test_sequence_validation():
         Sequence(np.full((3, 4), 0.25), np.array([0.0, 0.0, 1.0]))  # not increasing
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sequence_rejects_non_finite_entries(bad):
+    frames = np.full((3, 4), 0.25)
+    frames[1, 2] = bad
+    with pytest.raises(ValueError, match="frames have non-finite entries"):
+        Sequence(frames, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="timestamps have non-finite entries"):
+        Sequence(np.full((3, 4), 0.25), np.array([0.0, bad, 1.0]))
+
+
 def test_default_timestamps():
     np.testing.assert_allclose(default_timestamps(5), [0.0, 0.25, 0.5, 0.75, 1.0])
 
