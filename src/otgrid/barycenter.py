@@ -58,6 +58,21 @@ def _guard(x, counter):
     return x
 
 
+def check_distributions(x, name: str) -> np.ndarray:
+    """``x`` as float64, at least 2-D; ValueError unless every row is a
+    probability vector: finite, nonnegative and summing to 1 within 1e-12.
+    ``name`` starts every message."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise ValueError("%s have non-finite entries" % name)
+    if np.any(x < 0):
+        raise ValueError("%s must be nonnegative" % name)
+    dev = float(np.abs(x.sum(axis=-1) - 1.0).max(initial=0.0))
+    if dev > 1e-12:
+        raise ValueError("%s must sum to 1 within 1e-12 (max deviation %.3e)" % (name, dev))
+    return x
+
+
 def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
     if iters < 1:
         raise ValueError("iteration count must be >= 1")
@@ -65,15 +80,7 @@ def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
     if a.shape[-1] != op.num_vertices:
         raise ValueError("histogram length %d does not match grid size %d"
                          % (a.shape[-1], op.num_vertices))
-    if not np.isfinite(a).all():
-        raise ValueError("histograms have non-finite entries")
-    if np.any(a < 0):
-        raise ValueError("histograms must be nonnegative")
-    sums = a.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-12):
-        raise ValueError("histograms must sum to 1 (max deviation %.3e)"
-                         % float(np.abs(sums - 1.0).max()))
-    return a
+    return check_distributions(a, "histograms")
 
 
 @dataclass
@@ -161,10 +168,7 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     r_count, n = a.shape
     if lam.ndim not in (1, 2) or rows.shape[1] != r_count or not len(rows):
         raise ValueError("need one weight per input histogram in every frame")
-    if not np.isfinite(rows).all():
-        raise ValueError("barycenter weights have non-finite entries")
-    if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError("barycenter weights must be probability vectors")
+    check_distributions(rows, "barycenter weights")
     tape = None
     if record:
         frames = len(rows)

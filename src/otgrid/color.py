@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import DIVIDE_FLOOR, sinkhorn_scalings
+from .barycenter import DIVIDE_FLOOR, check_distributions, sinkhorn_scalings
 
 _FILL_BLOCK = 1 << 18  # int32 entries (1 MB) of one (undefined, defined bins) distance block
 _MAP_CHUNK = 1 << 13  # pixels interpolated at a time
@@ -90,10 +90,7 @@ class ColorHistogram:
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != (self.n,) * 3:
             raise ValueError("mass must have shape (n, n, n)")
-        if not np.isfinite(mass).all():
-            raise ValueError("mass has non-finite entries")
-        if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
-            raise ValueError("mass must be a normalized histogram")
+        check_distributions(mass.ravel(), "mass")
         object.__setattr__(self, "mass", mass)
 
 

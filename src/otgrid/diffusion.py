@@ -38,9 +38,7 @@ entry of K, a product of nonnegative factors, is positive and accurate
 to relative rounding (no eigendecomposition, whose cancellation gives
 negative entries).  Where a lower bound on the entries of K falls near
 the underflow range (tiny eps, where the products would lose terms that
-the solves keep), K is not formed and the solves stay; an upper bound on
-the entries of Minv, checked at assembly, spares most such operators the
-N-column solve.
+the solves keep), K is not formed and the solves stay.
 
 The derivative of a scalar through one application of K to x, with
 downstream gradient g, has a closed form.  With x_l = M^-l x and
@@ -99,7 +97,8 @@ DENSE_MAX = 1024
 # Each entry of a product of two N x N factors sums N partial products, and
 # one that underflows loses at most the smallest normal float.  An entry at
 # least DENSE_MAX/eps times that float has so lost at most relative
-# rounding.  Only a K whose lower bound clears it is formed.
+# rounding.  Only a K whose lower bound, from the entries of Minv, clears
+# it is formed.
 _KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # Rows of A updated per matrix product when a batch of pulls is flushed.
 # numpy's BLAS does these products, as it does the applications of K.
@@ -163,33 +162,8 @@ class DiffusionOperator:
         if info != 0:
             raise ValueError("diffusion matrix factorization failed: LAPACK info %d" % info)
         self._minv = self.kernel = None
-        # K is formed, where allowed, by the first gradient_accumulator().
-        # Write M = D - B with D = diag(1 + s_i), s_i the off-diagonal sum
-        # of row i, and B >= 0 off the diagonal.  Minv = sum_k (D^-1 B)^k D^-1,
-        # whose term k is zero between vertices more than k edges apart and
-        # has rows summing to at most rho^k, rho = max s_i / (1 + s_i) (D^-1
-        # <= 1).  So the entry between opposite corners, d edges apart, and
-        # with it min Minv, is at most rho^d / (1 - rho).  The exact check
-        # in _form_kernel multiplies min Minv by powers of diag Minv <= 1
-        # (M >= I), so a bound below the floor fails it too, and rejecting
-        # here only spares the N-column solve.
-        s = self.c * float(deg.max())
-        bound = (s / (1.0 + s)) ** (sum(spec.dims) - spec.d) * (1.0 + s)
-        self._kernel_pending = n <= DENSE_MAX and bound >= _KERNEL_FLOOR
-
-    def _form_kernel(self) -> None:
-        """Form Minv and K = Minv^S on the first call, where allowed."""
-        if not self._kernel_pending:
-            return
-        self._kernel_pending = False
-        minv = self.solve(np.eye(self.num_vertices))
-        # K >= Minv * min(diag Minv)^(S-1) entrywise (the path that waits at
-        # its end).  Below the floor the products would lose terms that the
-        # solves keep, and crawl through subnormals.
-        if minv.min() * np.diagonal(minv).min() ** (self.substeps - 1) >= _KERNEL_FLOOR:
-            self._minv = minv
-            self.kernel = np.linalg.matrix_power(minv, self.substeps)
-            self.kernel.flags.writeable = False
+        # K is formed, where allowed, by the first gradient_accumulator()
+        self._kernel_pending = n <= DENSE_MAX
 
     @property
     def num_vertices(self) -> int:
@@ -263,7 +237,16 @@ class DiffusionOperator:
         dense K where the operator allows one, so applications after it,
         the forward passes to be differentiated included, use it.
         """
-        self._form_kernel()
+        if self._kernel_pending:
+            self._kernel_pending = False
+            minv = self.solve(np.eye(self.num_vertices))
+            # K >= Minv * min(diag Minv)^(S-1) entrywise (the path that
+            # waits at its end).  Below the floor the products would lose
+            # terms that the solves keep, and crawl through subnormals.
+            if minv.min() * np.diagonal(minv).min() ** (self.substeps - 1) >= _KERNEL_FLOOR:
+                self._minv = minv
+                self.kernel = np.linalg.matrix_power(minv, self.substeps)
+                self.kernel.flags.writeable = False
         if self.kernel is None:
             return _ChainGradient(self)
         return _DenseGradient(self)
@@ -278,11 +261,6 @@ class DiffusionOperator:
         if n > DENSE_GUARD:
             raise ValueError("dense kernel limited to N <= %d, got %d" % (DENSE_GUARD, n))
         return self.apply(np.eye(n))[0]
-
-    def dense_cost(self) -> np.ndarray:
-        """-eps * log K, the induced pairwise cost. Small-N diagnostic only."""
-        with np.errstate(divide="ignore"):
-            return -self.epsilon * np.log(self.dense_kernel())
 
 
 class _ChainGradient:

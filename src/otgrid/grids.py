@@ -108,7 +108,7 @@ def check_weights(spec: GridSpec, w) -> np.ndarray:
         raise ValueError(
             "weight vector has length %d, expected %d" % (w.size, edge_count(spec))
         )
-    if np.any(w <= 0):
+    if not np.all(w > 0):  # NaN fails here too
         raise ValueError("edge weights must be strictly positive")
     return w
 

@@ -3,13 +3,13 @@
 Plain two-loop recursion over the (s, y) history, initial inverse-Hessian
 scaling gamma = s.y / y.y, Armijo backtracking.  Curvature pairs with
 s.y <= 1e-12 ||s|| ||y|| are skipped so the implicit inverse Hessian stays
-positive definite.  memory=0 disables the history entirely and leaves
-plain gradient descent with the same line search (sanity mode).
+positive definite.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +33,8 @@ class LbfgsOptions:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.memory >= 0:
-            raise ValueError("memory must be >= 0")
+        if not self.memory >= 1:
+            raise ValueError("memory must be >= 1")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not self.grad_tol > 0:
@@ -85,7 +85,7 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
     g = np.asarray(g, dtype=np.float64)
     _finite_or_raise(fx, g, "the starting point")
     evals = 1
-    svecs, yvecs, rhos = [], [], []
+    pairs = deque(maxlen=opts.memory)  # (s, y, 1 / s.y), oldest first
     gamma = 1.0
     history = []
     status = STATUS_MAX_ITERS
@@ -99,19 +99,19 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
         # two-loop recursion, newest pair first
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(svecs), reversed(yvecs), reversed(rhos)):
+        for s, y, rho in reversed(pairs):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
         q *= gamma
-        for (s, y, rho), a in zip(zip(svecs, yvecs, rhos), reversed(alphas)):
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         d = -q
         gd = g @ d
         if gd >= 0.0:
             # not a descent direction (stale curvature); restart from steepest descent
-            svecs, yvecs, rhos = [], [], []
+            pairs.clear()
             gamma = 1.0
             d = -g
             gd = g @ d
@@ -132,25 +132,18 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
             status = STATUS_LINE_SEARCH_FAILED
             break
 
-        if opts.memory > 0:
-            s = xn - x
-            y = gn - g
-            sy = s @ y
-            if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                svecs.append(s)
-                yvecs.append(y)
-                rhos.append(1.0 / sy)
-                if len(svecs) > opts.memory:
-                    svecs.pop(0)
-                    yvecs.pop(0)
-                    rhos.pop(0)
-                gamma = sy / (y @ y)
-            else:
-                # curvature test failed: the stored model is no longer
-                # trustworthy (Armijo alone cannot guarantee s'y > 0), and
-                # keeping it can freeze progress near indefinite regions.
-                svecs, yvecs, rhos = [], [], []
-                gamma = 1.0
+        s = xn - x
+        y = gn - g
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / (y @ y)
+        else:
+            # curvature test failed: the stored model is no longer
+            # trustworthy (Armijo alone cannot guarantee s'y > 0), and
+            # keeping it can freeze progress near indefinite regions.
+            pairs.clear()
+            gamma = 1.0
         x, fx, g = xn, fn, gn
         record = IterationRecord(
             iteration=it,

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensorio
-from .barycenter import barycenter, barycenter_backward
+from .barycenter import barycenter, barycenter_backward, check_distributions
 from .diffusion import assemble
 from .grids import GridSpec, parallel_difference
 from .tensorio import LOSS_KINDS
@@ -49,12 +49,7 @@ class Sequence:
         frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 2:
             raise ValueError("a sequence needs at least two frames")
-        if not np.isfinite(frames).all():
-            raise ValueError("frames have non-finite entries")
-        if np.any(frames < 0):
-            raise ValueError("frames must be nonnegative")
-        if np.any(np.abs(frames.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("every frame must sum to 1 within 1e-12")
+        check_distributions(frames, "frames")
         ts = np.asarray(self.timestamps, dtype=np.float64)
         if ts.shape != (frames.shape[0],):
             raise ValueError("need one timestamp per frame")
@@ -88,7 +83,7 @@ class Objective:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError("unknown loss kind %r" % (self.loss,))
-        if self.lambda_c < 0 or self.lambda_s < 0:
+        if not (self.lambda_c >= 0 and self.lambda_s >= 0):  # NaN fails here too
             raise ValueError("regularizer coefficients must be >= 0")
         n = self.grid.num_vertices
         for seq in self.sequences:
@@ -107,38 +102,24 @@ class ObjectiveParts:
 # --- losses --------------------------------------------------------------
 
 
-def loss_value(kind: str, recon, obs) -> float:
-    """Reconstruction loss. KL is evaluated as sum(obs log(obs/recon) - obs + recon),
+def loss(kind: str, recon, obs):
+    """Reconstruction loss and its gradient with respect to ``recon``:
+    ``(value, grad)``.  KL is evaluated as sum(obs log(obs/recon) - obs + recon),
     the only order that stays finite when observations carry zeros."""
     recon = np.asarray(recon, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
+    diff = recon - obs
     if kind == "l1":
-        return float(np.abs(recon - obs).sum())
+        return float(np.abs(diff).sum()), np.sign(diff)
     if kind == "l2":
-        diff = recon - obs
-        return float(diff @ diff)
+        return float(diff @ diff), 2.0 * diff
     if kind == "kl":
         if np.any(recon <= 0):
             raise ValueError("KL needs a strictly positive reconstruction")
         pos = obs > 0
         val = float(np.sum(obs[pos] * np.log(obs[pos] / recon[pos])))
-        val += float(np.sum(recon - obs))
-        return val
-    raise ValueError("unknown loss kind %r" % (kind,))
-
-
-def loss_grad(kind: str, recon, obs) -> np.ndarray:
-    """Gradient of loss_value with respect to the reconstruction."""
-    recon = np.asarray(recon, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    if kind == "l1":
-        return np.sign(recon - obs)
-    if kind == "l2":
-        return 2.0 * (recon - obs)
-    if kind == "kl":
-        if np.any(recon <= 0):
-            raise ValueError("KL needs a strictly positive reconstruction")
-        return 1.0 - obs / recon
+        val += float(np.sum(diff))
+        return val, 1.0 - obs / recon
     raise ValueError("unknown loss kind %r" % (kind,))
 
 
@@ -170,8 +151,8 @@ def _sequence_term(op, iters: int, seq: Sequence, kind: str, grad_acc) -> float:
     sub_val = 0.0
     gbar = np.empty_like(recon)
     for i in range(seq.num_frames):
-        sub_val += loss_value(kind, recon[i], seq.frames[i])
-        gbar[i] = loss_grad(kind, recon[i], seq.frames[i])
+        val, gbar[i] = loss(kind, recon[i], seq.frames[i])
+        sub_val += val
     barycenter_backward(tape, gbar, grad_acc)
     return sub_val
 

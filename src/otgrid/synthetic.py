@@ -166,11 +166,11 @@ def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
     A ``smooth_radius`` r > 0 replaces each field by its mean over the
     (2r + 1)-wide box around every entry, with the edges repeated.
     """
-    if pattern.base <= 0:
+    if not pattern.base > 0:  # NaN fails here too
         raise ConfigError("base must be > 0")
     axes = []
     for i, region in enumerate(pattern.regions):
-        if region.factor <= 0:
+        if not region.factor > 0:
             raise ConfigError("regions[%d].factor must be > 0" % i)
         axes.append(_axes_of(region, spec.d, "regions[%d]" % i))
     fields = []

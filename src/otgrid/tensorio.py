@@ -145,7 +145,6 @@ class RunConfig:
         _need(self.frames >= 2, "frames must be >= 2")
         _need(self.loss in LOSS_KINDS, "loss must be one of %s" % (list(LOSS_KINDS),))
         _need(self.lambda_c >= 0 and self.lambda_s >= 0, "lambda_c and lambda_s must be >= 0")
-        _need(self.lbfgs.memory >= 1, "lbfgs.memory must be >= 1")
         _need(self.seed >= 0, "seed must be >= 0")
 
 

@@ -12,8 +12,10 @@ from otgrid.barycenter import (
     interpolate,
     sinkhorn_scalings,
 )
+from otgrid.color import ColorHistogram
 from otgrid.diffusion import assemble
 from otgrid.grids import GridSpec, constant_weights, edge_count
+from otgrid.objective import Sequence
 from otgrid.synthetic import dirac, gaussian
 
 
@@ -186,6 +188,40 @@ def test_non_finite_inputs_fail_at_the_check(bad):
         barycenter(op, np.stack([a, b]), np.array([[0.5, 0.5], [bad, 0.5]]), 3)
 
 
+UNIFORM8 = np.full(8, 0.125)
+# each caller of check_distributions, fed one row of 8 entries
+DISTRIBUTION_CALLERS = {
+    "histograms": lambda row: barycenter(euclidean_op((2, 2, 2)), np.stack([row, UNIFORM8]),
+                                         np.array([0.5, 0.5]), 2),
+    "weights": lambda row: barycenter(euclidean_op((2, 2, 2)), np.eye(8),
+                                      np.stack([UNIFORM8, row]), 2),
+    "frames": lambda row: Sequence(np.stack([UNIFORM8, row]), np.array([0.0, 1.0])),
+    "mass": lambda row: ColorHistogram(2, row.reshape(2, 2, 2)),
+}
+
+
+def edited_row(index, value):
+    row = UNIFORM8.copy()
+    row[index] = value
+    return row
+
+
+@pytest.mark.parametrize("caller", sorted(DISTRIBUTION_CALLERS))
+def test_every_caller_applies_the_one_distribution_rule(caller):
+    """Barycenter inputs, weight rows, sequence frames and color masses are
+    held to the same rule: finite, nonnegative, summing to 1 within 1e-12."""
+    call = DISTRIBUTION_CALLERS[caller]
+    call(edited_row(3, 0.125 + 5e-13))
+    with pytest.raises(ValueError, match="must sum to 1 within 1e-12"):
+        call(edited_row(3, 0.125 + 2e-12))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        call(edited_row(3, np.nan))
+    negative = edited_row(0, -1e-300)
+    negative[1] = 0.25  # the sum stays 1
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(negative)
+
+
 def test_scaling_marginal_identity_every_sweep():
     """u = a/(Kv) makes u * (Kv) reproduce a after every u-update."""
     op = euclidean_op((6, 6))
@@ -226,7 +262,7 @@ def test_transport_value_self_dirac_closed_form():
     a = np.zeros(16)
     a[i] = 1.0
     val = ot_value_history(op, a, a, 400)[-1]
-    C = op.dense_cost()
+    C = -op.epsilon * np.log(op.dense_kernel())
     assert val == pytest.approx(C[i, i] - op.epsilon, rel=1e-9)
 
 

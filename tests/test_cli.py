@@ -259,6 +259,21 @@ def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key)
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"base": float("nan")}, "base"),
+    ({"regions": [{"factor": float("nan"), "shape": "box", "lo": [2, 2], "hi": [3, 3]}]},
+     "regions[0].factor"),
+])
+def test_gen_nan_pattern_value_fails_at_its_key(tmp_path, capsys, overrides, key):
+    """JSON's NaN fails the positivity check of its own key, not a later
+    check on the weights it would corrupt."""
+    cfg = write_config(tmp_path / "c.json")
+    pat = write_pattern(tmp_path / "p.json", **overrides)
+    assert run(["gen", "--config", cfg, "--pattern", pat, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "weights" not in err
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda m: m.pop("frames"), "frames"),
     (lambda m: m.update(dims=6), "dims"),

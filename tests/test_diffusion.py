@@ -39,7 +39,8 @@ def test_two_node_solve_example():
 
 
 def test_two_node_cost_example():
-    C = two_node().dense_cost()
+    op = two_node()
+    C = -op.epsilon * np.log(op.dense_kernel())
     assert C[0, 1] == pytest.approx(-4.0 * np.log(1.0 / 3.0), abs=1e-12)
     assert C[0, 1] == pytest.approx(4.394, abs=1e-3)
 

@@ -7,6 +7,7 @@ from otgrid.grids import (
     GridSpec,
     axis_fields,
     build_laplacian,
+    check_weights,
     constant_weights,
     edge_count,
     edge_vertices,
@@ -121,6 +122,11 @@ def test_laplacian_hand_case_path_graph():
 def test_laplacian_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         build_laplacian(GridSpec((3,)), np.array([1.0, 0.0]))
+
+
+def test_check_weights_rejects_nan():
+    with pytest.raises(ValueError, match="strictly positive"):
+        check_weights(GridSpec((3,)), np.array([1.0, np.nan]))
 
 
 # --- parallel neighborhoods -------------------------------------------------

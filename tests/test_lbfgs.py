@@ -50,11 +50,9 @@ def test_one_dimensional_problem():
     assert res.x[0] == pytest.approx(3.0, abs=1e-7)
 
 
-def test_memory_zero_is_gradient_descent():
-    res = minimize(quadratic, np.array([2.0, -1.0]),
-                   LbfgsOptions(memory=0, max_iters=300))
-    assert res.status == STATUS_CONVERGED
-    np.testing.assert_allclose(res.x, 0.0, atol=1e-6)
+def test_memory_zero_is_rejected():
+    with pytest.raises(ValueError, match="memory must be >= 1"):
+        LbfgsOptions(memory=0)
 
 
 def test_starting_at_optimum_returns_immediately():

@@ -11,8 +11,7 @@ from otgrid.objective import (
     default_timestamps,
     evaluate_with_grad,
     load_sequence,
-    loss_grad,
-    loss_value,
+    loss,
     reg_constant,
     reg_smooth,
     save_sequence,
@@ -37,44 +36,46 @@ def small_sequence(spec, seed, frames=3):
 @pytest.mark.parametrize("kind", ["l1", "l2", "kl"])
 def test_loss_zero_at_equality(kind):
     q = np.array([0.2, 0.3, 0.5])
-    assert loss_value(kind, q, q) == pytest.approx(0.0, abs=1e-15)
-    np.testing.assert_allclose(loss_grad(kind, q, q), 0.0, atol=1e-15)
+    val, grad = loss(kind, q, q)
+    assert val == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
 
 def test_l1_pinned_example():
-    assert loss_value("l1", np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+    assert loss("l1", np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0] == 2.0
 
 
 def test_l2_is_squared_norm():
     r = np.array([0.5, 0.5])
     o = np.array([0.25, 0.75])
-    assert loss_value("l2", r, o) == pytest.approx(2 * 0.25**2, abs=1e-15)
-    np.testing.assert_allclose(loss_grad("l2", r, o), 2 * (r - o), atol=1e-15)
+    val, grad = loss("l2", r, o)
+    assert val == pytest.approx(2 * 0.25**2, abs=1e-15)
+    np.testing.assert_allclose(grad, 2 * (r - o), atol=1e-15)
 
 
 def test_kl_gradient_is_one_minus_ratio():
     recon = np.array([0.4, 0.6])
     obs = np.array([0.3, 0.7])
-    np.testing.assert_allclose(loss_grad("kl", recon, obs), 1.0 - obs / recon,
+    np.testing.assert_allclose(loss("kl", recon, obs)[1], 1.0 - obs / recon,
                                atol=1e-15)
 
 
 def test_kl_handles_zero_observation():
     recon = np.array([0.5, 0.5])
     obs = np.array([1.0, 0.0])  # 0 log 0 = 0
-    val = loss_value("kl", recon, obs)
+    val = loss("kl", recon, obs)[0]
     assert np.isfinite(val)
     assert val == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_kl_rejects_nonpositive_reconstruction():
     with pytest.raises(ValueError):
-        loss_value("kl", np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        loss("kl", np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def test_unknown_loss_kind():
     with pytest.raises(ValueError):
-        loss_value("huber", np.ones(2), np.ones(2))
+        loss("huber", np.ones(2), np.ones(2))
 
 
 # --- regularizers -------------------------------------------------------------
@@ -157,6 +158,13 @@ def test_objective_validation():
         Objective(spec, (seq,), 1e-2, 3, 5, lambda_c=-1.0)
     with pytest.raises(ValueError):
         Objective(GridSpec((4, 4)), (seq,), 1e-2, 3, 5)
+
+
+@pytest.mark.parametrize("key", ["lambda_c", "lambda_s"])
+def test_objective_rejects_nan_regularizer_coefficient(key):
+    spec = GridSpec((3, 3))
+    with pytest.raises(ValueError, match="regularizer coefficients"):
+        Objective(spec, (small_sequence(spec, 2),), 1e-2, 3, 5, **{key: np.nan})
 
 
 def test_empty_sequence_list_is_pure_regularizer():
