@@ -17,11 +17,11 @@ Every forward kernel application is ``DiffusionOperator.apply``.
 
 The weights lambda are one row of R weights per frame, an (F, R) array.
 All frames share the inputs a_r and run through the same sweeps, so u_r
-and v_r are (F, N) blocks and each kernel application acts on the block
-of one input: 2R applications per sweep, whatever F is.  Displacement
-interpolation between two histograms is the R=2 barycenter with weights
-(1-t, t), and a sequence's frames at times t_i are one call with rows
-(1-t_i, t_i).
+and v_r are (F, N) blocks and each kernel application takes the block of
+one input and returns K v in the same shape: 2R applications per sweep,
+whatever F is.  Displacement interpolation between two histograms is the
+R=2 barycenter with weights (1-t, t), and a sequence's frames at times
+t_i are one call with rows (1-t_i, t_i).
 
 A recorded call keeps, per sweep, K v_r and K u_r of every input and frame
 and the targets b: arrays indexed [sweep, input, frame, vertex] and
@@ -126,9 +126,9 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=No
     b = target
     for l in range(iters):
         for r in range(r_count):
-            kv[r] = _guard(op.apply(v[r].T)[0].T, clamps)
+            kv[r] = _guard(op.apply(v[r]), clamps)
             u[r] = a[r] / kv[r]
-            ku[r] = _guard(op.apply(u[r].T)[0].T, clamps)
+            ku[r] = _guard(op.apply(u[r]), clamps)
         if target is None:
             logb = np.zeros((frames, n))
             for r in range(r_count):

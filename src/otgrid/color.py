@@ -125,12 +125,12 @@ def barycentric_map(op, a: ColorHistogram, b: ColorHistogram, iters: int):
     aflat = a.mass.ravel()
     bflat = b.mass.ravel()
     u, v = sinkhorn_scalings(op, aflat, bflat, iters)
-    # denominator and the three numerators as one column block
-    block = u[:, None] * op.apply(np.column_stack([v, v[:, None] * bin_centers(n)]))[0]
-    den = block[:, 0]
+    # denominator and the three numerators as one row block
+    block = u * op.apply(np.vstack([v, v * bin_centers(n).T]))
+    den = block[0]
     defined = (aflat > 0) & (den > DIVIDE_FLOOR)
     tmap = np.zeros((n**3, 3))
-    tmap[defined] = block[defined, 1:] / den[defined, None]
+    tmap[defined] = (block[1:, defined] / den[defined]).T
     return tmap.reshape(n, n, n, 3), defined.reshape(n, n, n)
 
 

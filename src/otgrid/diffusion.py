@@ -23,12 +23,13 @@ formula only for distances up to about t' cells: along an axis
 -log K(d) ~ t' phi(d/t') with phi(x) = x asinh(x/2) - sqrt(4 + x^2) + 2
 = x^2/4 - x^4/192 + ..., which is sub-quadratic in the far tail.
 
-K is applied on one of two paths.  By default an application is S
-successive banded solves against the Cholesky factor of M.  On a grid of
-at most DENSE_MAX vertices (read at assembly), the first request for a
-gradient accumulator forms Minv = M^-1 with one N-column solve and K =
-Minv^S by matrix products; from then on an application to a block of
-columns is one product of their transpose, as rows, with K.  Only
+An application takes a vector or an (F, N) block of one vector per row
+and returns K v in the same layout, on one of two paths.  By default it
+is S successive banded solves of the block's transpose, LAPACK's column
+layout.  On a grid of at most DENSE_MAX vertices (read at assembly), the
+first request for a gradient accumulator forms Minv = M^-1 with one
+N-column solve and K = Minv^S by matrix products; from then on an
+application is one product v K.  Only
 differentiated operators pay for K: a forward-only caller
 (interpolation, color transfer) makes few enough applications per
 assembly that its N^3 products need not pay off (a 30x30 interpolation
@@ -49,10 +50,10 @@ axis a is
 
 (the leading minus is pinned by finite differences; see the tests).  For
 a block of vectors (one per frame) the derivative is the sum over them.
-On the solve path the states x_l are not taped: the pull of each
-application rebuilds them by one chain of S solves on x, just before one
-chain of S solves on g gives every g_k and, as its last state, K g, the
-input adjoint (K is symmetric).  That is sweep-level checkpointing
+On the solve path the states x_l are not taped: ``adjoint_weights(x, g)``
+rebuilds them by one chain of S solves on x, just before one chain of S
+solves on g gives every g_k and, as its last state, K g, the input
+adjoint (K is symmetric).  That is sweep-level checkpointing
 (Griewank & Walther 2008, *Evaluating Derivatives*, ch. 12): one more
 S-solve chain per differentiated application buys a tape S times
 smaller.  On the dense path the sum is the edge quadratic form
@@ -174,57 +175,46 @@ class DiffusionOperator:
         (N, k) block, by the banded Cholesky factor; ``b`` is not changed."""
         return dpbtrs(self._cholesky, b)[0]
 
-    def apply(self, v, record: bool = False):
-        """Apply the kernel to v (a vector, or one per column): u = M^{-S} v.
-
-        Returns ``(u, states)``; ``states`` is None unless ``record`` is set,
-        else the array of the S solves' outputs, whose entry l is
-        M^{-(l+1)} v, so the last entry equals ``u``.  A recorded
-        application always runs the S solves; otherwise the dense K is used
-        where the operator has one, as (v^T K)^T: K is symmetric, and the
-        columns as rows times K is the faster product.
-        """
+    def apply(self, v) -> np.ndarray:
+        """K v for a vector or an (F, N) block of one vector per row, in the
+        layout of ``v``: v K with a dense K (K is symmetric), else S solves
+        of the transpose."""
         v = _finite(v)
-        if self.kernel is not None and not record:
-            return (v.T @ self.kernel).T, None
-        states = np.empty((self.substeps,) + v.shape) if record else None
-        x = v
-        for l in range(self.substeps):
+        if self.kernel is not None:
+            return v @ self.kernel
+        x = v.T
+        for _ in range(self.substeps):
             x = self.solve(x)
-            if record:
-                states[l] = x
-        return x, states
+        return x.T
 
     def adjoint_input(self, g: np.ndarray) -> np.ndarray:
         """Pull a gradient back through the kernel; K is symmetric, so K g."""
-        return self.apply(g)[0]
+        return self.apply(g)
 
-    def adjoint_weights(self, states: np.ndarray, g: np.ndarray):
-        """Both vector-Jacobian products of <g, K v> from one solve chain.
+    def adjoint_weights(self, x, g):
+        """Both vector-Jacobian products of <g, K x> from two solve chains.
 
-        ``g`` is a vector or an (N, k) block, and ``states`` the recorded
-        (S,) + g.shape array of K v.  Returns ``(K g, dw)``: the gradient
-        pulled back to v and the per-edge weight gradient, summed over the
-        columns.
+        ``x`` and ``g`` are vectors or (F, N) blocks of the same shape.  One
+        chain of S solves rebuilds the states M^-l x, and one more pulls g
+        back.  Returns ``(K g, dw)``: the gradient pulled back to x and the
+        per-edge weight gradient, summed over the rows.
         """
-        g = _finite(g)
-        if states.shape != (self.substeps,) + g.shape:
-            raise ValueError(
-                "tape shape %r does not match operator (S=%d) and gradient %r"
-                % (states.shape, self.substeps, g.shape)
-            )
+        x, g = _finite(x), _finite(g)
+        if x.shape != g.shape:
+            raise ValueError("input %r and gradient %r differ in shape" % (x.shape, g.shape))
+        xt, gt, states = x.T, g.T, []
+        for _ in range(self.substeps):
+            xt = self.solve(xt)
+            states.append(xt.T)
         i, j = self._i, self._j
         acc = np.zeros(len(i))
-        gcur = g
-        for k in range(1, self.substeps + 1):
-            gcur = self.solve(gcur)
-            # one row of edge differences per column; np.take on the
-            # transposes gathers along their rows, the fast direction
-            gt, xt = gcur.T, states[self.substeps - k].T
-            dg = np.take(gt, j, axis=-1) - np.take(gt, i, axis=-1)
-            dg *= np.take(xt, j, axis=-1) - np.take(xt, i, axis=-1)
+        for xk in reversed(states):
+            gt = self.solve(gt)
+            gk = gt.T  # rows as in x; np.take gathers along them, the fast direction
+            dg = np.take(gk, j, axis=-1) - np.take(gk, i, axis=-1)
+            dg *= np.take(xk, j, axis=-1) - np.take(xk, i, axis=-1)
             acc += dg.reshape(-1, len(i)).sum(axis=0)
-        return gcur, -self._coeff * acc
+        return gt.T, -self._coeff * acc
 
     def gradient_accumulator(self):
         """A fresh sum of weight gradients over many kernel applications.
@@ -260,7 +250,7 @@ class DiffusionOperator:
         n = self.num_vertices
         if n > DENSE_GUARD:
             raise ValueError("dense kernel limited to N <= %d, got %d" % (DENSE_GUARD, n))
-        return self.apply(np.eye(n))[0]
+        return self.apply(np.eye(n))
 
 
 class _ChainGradient:
@@ -272,10 +262,9 @@ class _ChainGradient:
         self._dw = np.zeros(edge_count(op.spec))
 
     def pull(self, g, x):
-        _, states = self._op.apply(x.T, record=True)
-        kg, dw = self._op.adjoint_weights(states, g.T)
+        kg, dw = self._op.adjoint_weights(x, g)
         self._dw += dw
-        return kg.T
+        return kg
 
     def flush(self):
         pass
@@ -301,7 +290,7 @@ class _DenseGradient:
     def pull(self, g, x):
         self._g.append(g)
         self._x.append(x)
-        return self._op.apply(g.T)[0].T
+        return self._op.apply(g)
 
     def flush(self):
         if self._g:

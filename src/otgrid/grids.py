@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import tensorio
 
@@ -113,13 +112,14 @@ def check_weights(spec: GridSpec, w) -> np.ndarray:
     return w
 
 
-def build_laplacian(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:
-    """Weighted graph Laplacian L = W - diag(degree).
+def build_laplacian(spec: GridSpec, w: np.ndarray):
+    """Weighted graph Laplacian L = W - diag(degree), as scipy.sparse CSR.
 
     Off-diagonal entry (i, j) is w_ij for connected vertex pairs, the
     diagonal carries minus the weighted degree, so every row sums to zero
     and L is symmetric negative semi-definite.
     """
+    import scipy.sparse as sp  # here, so that no command loads it: only tests call this
     w = check_weights(spec, w)
     n = spec.num_vertices
     i, j = edge_vertices(spec)

@@ -38,9 +38,9 @@ def gaussian(spec: GridSpec, center, sigma: float) -> np.ndarray:
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (spec.d,):
         raise ValueError("center must have %d coordinates" % spec.d)
-    if np.any(center < 0) or np.any(center > np.array(spec.dims) - 1):
+    if not np.all((center >= 0) & (center <= np.array(spec.dims) - 1)):  # NaN fails here too
         raise ValueError("center %r outside grid %r" % (center.tolist(), spec.dims))
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be > 0")
     idx = np.indices(spec.dims, dtype=np.float64)
     sq = np.zeros(spec.dims)
@@ -116,9 +116,11 @@ def _axes_of(region: Region, d: int, key: str) -> tuple:
         if name not in _SHAPE_KEYS[region.shape] and getattr(region, name) is not None:
             raise ConfigError("%s.%s is not used by a %s region" % (key, name, region.shape))
     for name in ("lo", "hi") if region.shape == "box" else ("center",):
-        count = len(getattr(region, name) or ())
-        if count != d:
-            raise ConfigError("%s.%s must have %d numbers, got %d" % (key, name, d, count))
+        coords = getattr(region, name) or ()
+        if len(coords) != d or not np.isfinite(coords).all():
+            raise ConfigError("%s.%s must be %d finite numbers, got %r" % (key, name, d, coords))
+    if region.radius is not None and not region.radius >= 0:  # NaN fails here too
+        raise ConfigError("%s.radius must be >= 0" % key)
     axes = region.axes
     if isinstance(axes, str):
         axes = {"all": tuple(range(d)), "horizontal": (1,), "vertical": (0,)}.get(axes, axes)
@@ -168,6 +170,8 @@ def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
     """
     if not pattern.base > 0:  # NaN fails here too
         raise ConfigError("base must be > 0")
+    if not pattern.smooth_radius >= 0:
+        raise ConfigError("smooth_radius must be >= 0")
     axes = []
     for i, region in enumerate(pattern.regions):
         if not region.factor > 0:

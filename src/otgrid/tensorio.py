@@ -15,6 +15,7 @@ Values must be finite both when writing and when reading back.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
@@ -78,7 +79,7 @@ def read_tensor(path) -> np.ndarray:
     dims = struct.unpack_from("<%dQ" % ndim, raw, 10)
     if any(n == 0 for n in dims):
         raise TensorFormatError("%s: zero-sized dimension" % (path,))
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python ints: an int64 product can wrap to 0
     expected = header_end + 8 * count
     if len(raw) < expected:
         raise TensorFormatError(

@@ -103,7 +103,7 @@ def test_ac1_kernel_stochastic_and_symmetric():
         for substeps in (10, 20, 50):
             w = rng.uniform(0.3, 3.0, edge_count(spec))
             op = DiffusionOperator(spec, w, epsilon, substeps)
-            k1 = op.apply(ones)[0]
+            k1 = op.apply(ones)
             assert np.abs(k1 - 1.0).max() < 1e-10, (epsilon, substeps)
             kernel = op.dense_kernel()
             sym = np.abs(kernel - kernel.T).max() / np.abs(kernel).max()
@@ -117,8 +117,7 @@ def test_ac2_weight_adjoint_matches_finite_differences():
     # two-node closed form: d/dw <g, K v> = -1/9 at w = 1
     op = DiffusionOperator(GridSpec((2,)), [1.0], 4.0, 1)
     v = np.array([1.0, 0.0])
-    _, tape = op.apply(v, record=True)
-    _, grad = op.adjoint_weights(tape, v)
+    _, grad = op.adjoint_weights(v, v)
     assert abs(grad[0] - (-1.0 / 9.0)) < 1e-8
 
     # random 4x4 instances, per-coordinate central differences at h = 1e-4
@@ -133,14 +132,13 @@ def test_ac2_weight_adjoint_matches_finite_differences():
         g = rng.standard_normal(spec.num_vertices)
         for epsilon in (1.2e-2, 4e-2):
             op = DiffusionOperator(spec, w, epsilon, 3)
-            kv, tape = op.apply(v, record=True)
-            _, grad = op.adjoint_weights(tape, g)
+            _, grad = op.adjoint_weights(v, g)
             for e in range(m):
                 wp, wm = w.copy(), w.copy()
                 wp[e] += h
                 wm[e] -= h
-                fp = g @ DiffusionOperator(spec, wp, epsilon, 3).apply(v)[0]
-                fm = g @ DiffusionOperator(spec, wm, epsilon, 3).apply(v)[0]
+                fp = g @ DiffusionOperator(spec, wp, epsilon, 3).apply(v)
+                fm = g @ DiffusionOperator(spec, wm, epsilon, 3).apply(v)
                 fd = (fp - fm) / (2 * h)
                 worst = max(worst, rel_err(grad[e], fd))
     assert worst < 1e-6, worst
@@ -181,7 +179,7 @@ def test_ac4_barycenter_fixed_points():
     a1 /= a1.sum()
 
     b, _ = barycenter(op, [a0, a1], [1.0, 0.0], 7)
-    ka0 = op.apply(a0)[0]
+    ka0 = op.apply(a0)
     assert np.abs(b - ka0).max() < 1e-12
 
     _, _, history = sinkhorn_scalings(op, a0, a1, 15, history=True)
@@ -210,8 +208,8 @@ def test_ac5_interpolation_spacing(spacing_study, even_spacing_study):
     assert all(g > 0 for g in np.diff(cols)), "argmax must advance strictly: " + report
     assert elapsed < 120.0
     op = assemble(spec, constant_weights(spec), 1.2e-2, 50)
-    log_k0 = np.log(op.apply(dirac(spec, (0, 0)))[0])
-    log_k1 = np.log(op.apply(dirac(spec, (0, 49)))[0])
+    log_k0 = np.log(op.apply(dirac(spec, (0, 0))))
+    log_k1 = np.log(op.apply(dirac(spec, (0, 49))))
     predicted = argmax_columns(
         spec, [(1.0 - t) * log_k0 + t * log_k1 for t in np.linspace(0.0, 1.0, 10)])
     assert cols == predicted, "kernel predicts %s; %s" % (predicted, report)
@@ -335,7 +333,7 @@ def test_ac9_color_transfer_moves_histogram(tmp_path):
     assert out.dtype == np.uint8 and out.shape == src.shape
     h_out = image_to_histogram(out, n)
 
-    blurred_tgt = op.apply(h_tgt.mass.ravel())[0]
+    blurred_tgt = op.apply(h_tgt.mass.ravel())
     d_out = np.linalg.norm(h_out.mass.ravel() - blurred_tgt)
     d_src = np.linalg.norm(h_src.mass.ravel() - blurred_tgt)
     assert d_out < d_src, (d_out, d_src)

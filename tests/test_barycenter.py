@@ -60,18 +60,18 @@ def test_endpoint_weight_vector_is_kernel_blur():
     op = euclidean_op((6, 6))
     a = random_histograms(op.spec, 2, 1)
     b, _ = barycenter(op, a, np.array([1.0, 0.0]), 7)
-    np.testing.assert_allclose(b, op.apply(a[0])[0], atol=1e-12)
+    np.testing.assert_allclose(b, op.apply(a[0]), atol=1e-12)
     b1, _ = barycenter(op, a, np.array([0.0, 1.0]), 7)
-    np.testing.assert_allclose(b1, op.apply(a[1])[0], atol=1e-12)
+    np.testing.assert_allclose(b1, op.apply(a[1]), atol=1e-12)
 
 
 def test_interpolate_endpoints_match_barycenter():
     op = euclidean_op((5, 5))
     a = random_histograms(op.spec, 2, 2)
     g0 = interpolate(op, a[0], a[1], 0.0, 5)
-    np.testing.assert_allclose(g0, op.apply(a[0])[0], atol=1e-12)
+    np.testing.assert_allclose(g0, op.apply(a[0]), atol=1e-12)
     g1 = interpolate(op, a[0], a[1], 1.0, 5)
-    np.testing.assert_allclose(g1, op.apply(a[1])[0], atol=1e-12)
+    np.testing.assert_allclose(g1, op.apply(a[1]), atol=1e-12)
 
 
 def test_interpolate_rejects_out_of_range_time():

@@ -251,6 +251,10 @@ def test_non_scalar_config_value_is_config_error(tmp_path):
                    "lo": [2, 2]}]}, "regions[0].lo"),
     ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": 1,
                    "hi": [3, 3]}]}, "regions[0].hi"),
+    # signs
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": -1}]},
+     "regions[0].radius"),
+    ({"smooth_radius": -1}, "smooth_radius"),
 ])
 def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path / "c.json")
@@ -263,6 +267,13 @@ def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key)
     ({"base": float("nan")}, "base"),
     ({"regions": [{"factor": float("nan"), "shape": "box", "lo": [2, 2], "hi": [3, 3]}]},
      "regions[0].factor"),
+    ({"regions": [{"factor": 0.2, "lo": [2, float("nan")], "hi": [3, 3]}]}, "regions[0].lo"),
+    ({"regions": [{"factor": 0.2, "lo": [2, 2], "hi": [float("nan"), 3]}]}, "regions[0].hi"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [float("nan"), 2], "radius": 1}]},
+     "regions[0].center"),
+    ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": float("nan")}]},
+     "regions[0].radius"),
+    ({"endpoints": {"start": [float("nan"), 0]}}, "endpoints.start"),
 ])
 def test_gen_nan_pattern_value_fails_at_its_key(tmp_path, capsys, overrides, key):
     """JSON's NaN fails the positivity check of its own key, not a later

@@ -88,11 +88,11 @@ def test_dense_engine_matches_lu_tape_path(case, monkeypatch):
     # kernel applications; K is positive, so nonnegative inputs stay so
     assert dense.kernel.min() > 0
     for v in (rng.uniform(0.0, 1.0, n), corner_diracs(spec)[1]):
-        kv = dense.apply(v)[0]
+        kv = dense.apply(v)
         assert kv.min() >= 0
-        assert rel_diff(kv, lu.apply(v)[0]) <= RTOL
+        assert rel_diff(kv, lu.apply(v)) <= RTOL
     g = rng.normal(size=n)
-    assert rel_diff(dense.apply(g)[0], lu.apply(g)[0]) <= RTOL
+    assert rel_diff(dense.apply(g), lu.apply(g)) <= RTOL
 
     # one barycenter's weight gradient
     h = rng.uniform(0.05, 1.0, (2, n))

@@ -34,7 +34,7 @@ def test_two_node_kernel_closed_form():
 
 
 def test_two_node_solve_example():
-    u, _ = two_node().apply(np.array([1.0, 0.0]))
+    u = two_node().apply(np.array([1.0, 0.0]))
     np.testing.assert_allclose(u, [2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -48,8 +48,8 @@ def test_two_node_cost_example():
 def test_two_node_weight_gradient_closed_form():
     # <g, K v> = (1+w)/(1+2w) at v=g=e1; derivative -1/(1+2w)^2 = -1/9 at w=1
     op = two_node()
-    out, states = op.apply(np.array([1.0, 0.0]), record=True)
-    _, dw = op.adjoint_weights(states, np.array([1.0, 0.0]))
+    e1 = np.array([1.0, 0.0])
+    _, dw = op.adjoint_weights(e1, e1)
     assert dw[0] == pytest.approx(-1.0 / 9.0, abs=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_kernel_rows_sum_to_one():
     w = rng.uniform(0.3, 3.0, edge_count(spec))
     op = assemble(spec, w, 1.2e-2, 7)
     ones = np.ones(spec.num_vertices)
-    out, _ = op.apply(ones)
+    out = op.apply(ones)
     np.testing.assert_allclose(out, 1.0, atol=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_apply_matches_dense_kernel():
     w = rng.uniform(0.5, 2.0, edge_count(spec))
     op = assemble(spec, w, 2e-2, 5)
     v = rng.uniform(0.0, 1.0, 16)
-    out, _ = op.apply(v)
+    out = op.apply(v)
     np.testing.assert_allclose(out, op.dense_kernel() @ v, atol=1e-13)
 
 
@@ -121,26 +121,10 @@ def test_adjoint_input_is_kernel_by_symmetry(monkeypatch):
     w = np.random.default_rng(7).uniform(0.5, 2.0, edge_count(spec))
     op = assemble(spec, w, 1e-2, 3)
     g = np.random.default_rng(8).normal(size=16)
-    np.testing.assert_allclose(op.adjoint_input(g), op.apply(g)[0], atol=0)
+    np.testing.assert_allclose(op.adjoint_input(g), op.apply(g), atol=0)
     # the fused product's last g-chain state is the same K g
-    _, states = op.apply(np.ones(16), record=True)
-    kg, _ = op.adjoint_weights(states, g)
-    np.testing.assert_allclose(kg, op.apply(g)[0], atol=0)
-
-
-def test_tape_records_all_substeps():
-    spec = GridSpec((3, 3))
-    op = assemble(spec, constant_weights(spec), 1e-2, 6)
-    M = reference_matrix(spec, constant_weights(spec), 1e-2, 6)
-    v = np.random.default_rng(9).uniform(size=9)
-    out, states = op.apply(v, record=True)
-    assert states.shape == (6, 9)
-    np.testing.assert_array_equal(states[-1], out)
-    # each state is one more backward-Euler substep of the previous
-    for l in range(1, 6):
-        np.testing.assert_allclose(
-            M @ states[l], states[l - 1], atol=1e-12
-        )
+    kg, _ = op.adjoint_weights(np.ones(16), g)
+    np.testing.assert_allclose(kg, op.apply(g), atol=0)
 
 
 def test_adjoint_weights_matches_finite_differences():
@@ -151,27 +135,26 @@ def test_adjoint_weights_matches_finite_differences():
     v = rng.uniform(0.1, 1.0, 12)
     g = rng.uniform(0.1, 1.0, 12)
     op = assemble(spec, w, 2.5e-2, 4)
-    _, states = op.apply(v, record=True)
-    _, adj = op.adjoint_weights(states, g)
+    _, adj = op.adjoint_weights(v, g)
     h = 1e-4
     for e in range(m):
         wp = w.copy()
         wp[e] += h
         wm = w.copy()
         wm[e] -= h
-        fp = g @ assemble(spec, wp, 2.5e-2, 4).apply(v)[0]
-        fm = g @ assemble(spec, wm, 2.5e-2, 4).apply(v)[0]
+        fp = g @ assemble(spec, wp, 2.5e-2, 4).apply(v)
+        fm = g @ assemble(spec, wm, 2.5e-2, 4).apply(v)
         fd = (fp - fm) / (2 * h)
         assert adj[e] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
-def test_adjoint_weights_rejects_foreign_tape():
+def test_adjoint_weights_rejects_mismatched_shapes():
     spec = GridSpec((3, 3))
-    op5 = assemble(spec, constant_weights(spec), 1e-2, 5)
-    op3 = assemble(spec, constant_weights(spec), 1e-2, 3)
-    _, states = op5.apply(np.ones(9), record=True)
-    with pytest.raises(ValueError):
-        op3.adjoint_weights(states, np.ones(9))
+    op = assemble(spec, constant_weights(spec), 1e-2, 3)
+    for x, g in ((np.ones(9), np.ones((1, 9))), (np.ones((2, 9)), np.ones((3, 9))),
+                 (np.ones((2, 9)), np.ones((9, 2)))):
+        with pytest.raises(ValueError, match="differ in shape"):
+            op.adjoint_weights(x, g)
 
 
 def test_apply_rejects_non_finite():
@@ -185,16 +168,16 @@ def test_apply_rejects_non_finite():
 
 def test_dense_kernel_is_the_formed_kernel():
     """Once a gradient accumulator has formed K, it is handed out as is; it
-    matches the kernel of the recorded S-solve chain."""
+    matches the kernel of the S-solve chain, taken before K was formed."""
     rng = np.random.default_rng(12)
     spec = GridSpec((5, 6))
     op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 7)
     assert op.kernel is None
+    chain = op.dense_kernel()
+    assert chain.shape == (30, 30)
     op.gradient_accumulator()
     K = op.dense_kernel()
     assert K is op.kernel and not K.flags.writeable
-    chain, states = op.apply(np.eye(spec.num_vertices), record=True)
-    assert states.shape == (7, 30, 30)
     np.testing.assert_allclose(K, chain, rtol=1e-13, atol=0)
 
 
@@ -213,7 +196,7 @@ def test_mass_is_conserved_by_symmetry():
     w = rng.uniform(0.3, 3.0, edge_count(spec))
     op = assemble(spec, w, 1.2e-2, 10)
     v = rng.uniform(0.0, 1.0, 25)
-    out, _ = op.apply(v)
+    out = op.apply(v)
     assert out.sum() == pytest.approx(v.sum(), rel=1e-13)
 
 
@@ -261,13 +244,59 @@ def test_banded_solve_matches_sparse_lu(dims):
         assert x.shape == b.shape
         np.testing.assert_array_equal(b, b_before)
         assert rel_diff(x, lu.solve(b)) <= 1e-13
-    v = rng.uniform(size=(n, 7))
-    assert rel_diff(op.apply(v)[0], reference_kernel(v)) <= 1e-13
+    v = rng.uniform(size=(n, 7))  # one column per vector, as the LU solves take them
+    assert rel_diff(op.apply(v.T), reference_kernel(v).T) <= 1e-13
     if n > DENSE_MAX:
         return
     k_ref = reference_kernel(np.eye(n))
     assert rel_diff(op.dense_kernel(), k_ref) <= 1e-13  # S solves per column
     op.gradient_accumulator()
     assert op.kernel is not None
-    assert rel_diff(op.apply(v)[0], reference_kernel(v)) <= 1e-13  # one product
+    assert rel_diff(op.apply(v.T), reference_kernel(v).T) <= 1e-13  # one product
     assert rel_diff(op.dense_kernel(), k_ref) <= 1e-13
+
+
+# Gate for the row layout: an application takes and returns (F, N) blocks of
+# one vector per row, and a block is its rows applied one at a time.  On the
+# solve path each row is one column of every dpbtrs call, which LAPACK solves
+# column by column, so the rows agree bit for bit.  numpy hands a block
+# product with the dense K to BLAS's gemm and a single vector to gemv, which
+# sum in different orders, so there the rows agree to rounding.
+ROW_GRIDS = [(5, 6), (4, 3, 5)]
+
+
+@pytest.mark.parametrize("dims", ROW_GRIDS, ids=lambda d: "x".join(map(str, d)))
+def test_solve_path_block_is_its_rows_bit_for_bit(dims):
+    spec = GridSpec(dims)
+    n = spec.num_vertices
+    rng = np.random.default_rng(n)
+    op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 4)
+    assert op.kernel is None
+    x = rng.uniform(0.1, 1.0, (5, n))
+    g = rng.normal(size=(5, n))
+    kx = op.apply(x)
+    assert kx.shape == x.shape
+    for row, k_row in zip(x, kx):
+        np.testing.assert_array_equal(k_row, op.apply(row))
+    kg, dw = op.adjoint_weights(x, g)
+    np.testing.assert_array_equal(kg, op.apply(g))
+    rows = [op.adjoint_weights(x_row, g_row) for x_row, g_row in zip(x, g)]
+    for (kg_row, _), k_row in zip(rows, kg):
+        np.testing.assert_array_equal(k_row, kg_row)
+    assert rel_diff(dw, sum(dw_row for _, dw_row in rows)) <= 1e-13
+
+
+@pytest.mark.parametrize("dims", ROW_GRIDS, ids=lambda d: "x".join(map(str, d)))
+def test_dense_kernel_block_is_its_rows(dims):
+    spec = GridSpec(dims)
+    n = spec.num_vertices
+    rng = np.random.default_rng(n)
+    op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 4)
+    op.gradient_accumulator()
+    assert op.kernel is not None
+    x = rng.uniform(0.1, 1.0, (5, n))
+    kx = op.apply(x)
+    np.testing.assert_array_equal(kx, x @ op.kernel)
+    for row, k_row in zip(x, kx):
+        assert rel_diff(k_row, op.apply(row)) <= 1e-14
+    np.testing.assert_array_equal(op.adjoint_input(x), kx)

@@ -4,7 +4,9 @@ otgrid itself does not import scipy.ndimage; these tests do, to pin each
 replacement to the call it replaced: ``distance_transform_edt``'s feature
 transform for ``fill_nearest``, ``map_coordinates(order=1, mode="nearest")``
 for ``apply_color_map``, and ``uniform_filter(mode="nearest")`` for the
-``render_metric`` smoothing.
+``render_metric`` smoothing.  A fresh-import guard keeps scipy.ndimage, and
+scipy.sparse (which only ``grids.build_laplacian`` imports), out of
+``import otgrid.cli``.
 """
 
 import subprocess
@@ -99,9 +101,11 @@ def test_render_metric_smoothing_matches_uniform_filter(dims, radius):
 
 
 def test_cli_import_leaves_out_ndimage():
-    """A fresh ``import otgrid.cli`` does not load scipy.ndimage (this session does)."""
-    code = "import sys, otgrid.cli; print('scipy.ndimage' in sys.modules)"
+    """A fresh ``import otgrid.cli`` loads neither scipy.ndimage nor
+    scipy.sparse (this session loads both)."""
+    code = ("import sys, otgrid.cli; "
+            "print('scipy.ndimage' in sys.modules, 'scipy.sparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

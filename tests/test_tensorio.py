@@ -73,6 +73,17 @@ def test_truncated_header_rejected(tmp_path):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2), (3, 2**62)])
+def test_dims_whose_product_wraps_int64_rejected(tmp_path, dims):
+    """The element count is the exact product of the dims: an int64 product
+    wraps to 0 or a small count, which would read as a short tensor."""
+    p = tmp_path / "x.gmlt"
+    p.write_bytes(b"GMLT" + struct.pack("<IBB", 1, 0, len(dims))
+                  + struct.pack("<%dQ" % len(dims), *dims) + struct.pack("<d", 3.5))
+    with pytest.raises(TensorFormatError, match="expected"):
+        read_tensor(p)
+
+
 def test_zero_dimensional_tensor_rejected(tmp_path):
     p = tmp_path / "x.gmlt"
     # a well-formed header with ndim 0, followed by one float64
