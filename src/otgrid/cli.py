@@ -11,6 +11,7 @@ problem.  argparse's own usage failures also exit with 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -99,34 +100,25 @@ def cmd_learn(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         x0 = rng.uniform(np.log(cfg.init.low), np.log(cfg.init.high), size=m)
 
-    log_fh = open(args.log, "w", encoding="utf-8", newline="") if args.log else None
-    parts_cell = [None]
-    calls = [0]
+    latest = None  # the ObjectiveParts of the newest evaluation
 
     def fun(x):
+        nonlocal latest
         value, grad, parts = evaluate_with_grad(
             obj, x, threads=args.threads, with_parts=True
         )
-        parts_cell[0] = parts
-        calls[0] += 1
-        if calls[0] == 1 and log_fh is not None:
-            _log_row(log_fh, 0, value, parts, float(np.abs(grad).max()), 0.0)
+        if latest is None:
+            _log_row(log, 0, value, parts, float(np.abs(grad).max()), 0.0)
+        latest = parts
         return value, grad
 
     def on_iteration(rec, _x):
-        if log_fh is not None:
-            _log_row(log_fh, rec.iteration, rec.value, parts_cell[0],
-                     rec.grad_inf, rec.elapsed)
+        _log_row(log, rec.iteration, rec.value, latest, rec.grad_inf, rec.elapsed)
 
-    if log_fh is not None:
-        log_fh.write("iteration,objective,data_fit,reg_constant,reg_smooth,grad_inf,elapsed\n")
-    try:
+    with open(args.log or os.devnull, "w", encoding="utf-8", newline="") as log:
+        log.write("iteration,objective,data_fit,reg_constant,reg_smooth,grad_inf,elapsed\n")
         result = minimize(fun, x0, cfg.lbfgs, callback=on_iteration)
-        if log_fh is not None:
-            log_fh.write("# status=%s\n" % result.status)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+        log.write("# status=%s\n" % result.status)
 
     save_weights(args.out, spec, np.exp(result.x))
     print("learn: %s after %d iterations, objective %.12g"

@@ -1,9 +1,9 @@
 """Limited-memory BFGS with backtracking line search.
 
-Plain two-loop recursion over the (s, y) history, initial inverse-Hessian
-scaling gamma = s.y / y.y, Armijo backtracking.  Curvature pairs with
-s.y <= 1e-12 ||s|| ||y|| are skipped so the implicit inverse Hessian stays
-positive definite.
+Plain two-loop recursion over the (s, y) history from H0 = gamma I, with
+gamma = s.y / y.y of the newest pair (1 while none is stored), and Armijo
+backtracking.  A pair with s.y <= 1e-12 ||s|| ||y|| clears the history, so
+the implicit inverse Hessian stays positive definite.
 """
 
 from __future__ import annotations
@@ -67,9 +67,13 @@ class MinimizeResult:
     history: list = field(default_factory=list)
 
 
-def _finite_or_raise(fx, g, where):
+def _evaluate(f, x, where):
+    """f(x) as (value, float64 gradient); a non-finite one is a ValueError naming ``where``."""
+    fx, g = f(x)
+    g = np.asarray(g, dtype=np.float64)
     if not np.isfinite(fx) or not np.isfinite(g).all():
         raise ValueError("objective returned non-finite value/gradient at %s" % where)
+    return fx, g
 
 
 def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> MinimizeResult:
@@ -81,12 +85,9 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
     """
     opts = opts or LbfgsOptions()
     x = np.array(x0, dtype=np.float64, copy=True)
-    fx, g = f(x)
-    g = np.asarray(g, dtype=np.float64)
-    _finite_or_raise(fx, g, "the starting point")
+    fx, g = _evaluate(f, x, "the starting point")
     evals = 1
     pairs = deque(maxlen=opts.memory)  # (s, y, 1 / s.y), oldest first
-    gamma = 1.0
     history = []
     status = STATUS_MAX_ITERS
     start = time.perf_counter()
@@ -103,7 +104,9 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        q *= gamma
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
@@ -112,23 +115,18 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
         if gd >= 0.0:
             # not a descent direction (stale curvature); restart from steepest descent
             pairs.clear()
-            gamma = 1.0
             d = -g
             gd = g @ d
 
         step = opts.init_step
-        accepted = False
         for _ in range(opts.max_trials):
             xn = x + step * d
-            fn, gn = f(xn)
-            gn = np.asarray(gn, dtype=np.float64)
-            _finite_or_raise(fn, gn, "iteration %d" % it)
+            fn, gn = _evaluate(f, xn, "iteration %d" % it)
             evals += 1
             if fn <= fx + opts.armijo * step * gd:
-                accepted = True
                 break
             step *= opts.shrink
-        if not accepted:
+        else:
             status = STATUS_LINE_SEARCH_FAILED
             break
 
@@ -137,13 +135,11 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
         sy = s @ y
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / (y @ y)
         else:
             # curvature test failed: the stored model is no longer
             # trustworthy (Armijo alone cannot guarantee s'y > 0), and
             # keeping it can freeze progress near indefinite regions.
             pairs.clear()
-            gamma = 1.0
         x, fx, g = xn, fn, gn
         record = IterationRecord(
             iteration=it,
@@ -157,7 +153,6 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
         if callback is not None:
             callback(record, x)
     else:
-        status = STATUS_MAX_ITERS
         if np.abs(g).max() <= opts.grad_tol:
             status = STATUS_CONVERGED
 

@@ -9,7 +9,8 @@ GMLT is a tiny binary container for row-major float64 tensors::
     then         ndim dimension sizes, u64 little-endian each
     then         the data, little-endian float64, row-major
 
-Values must be finite both when writing and when reading back.
+Values must be finite both when writing and when reading back, and a file
+ends where its header says: a shorter or longer file is rejected.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def read_tensor(path) -> np.ndarray:
         raise TensorFormatError("%s: zero-sized dimension" % (path,))
     count = math.prod(dims)  # Python ints: an int64 product can wrap to 0
     expected = header_end + 8 * count
-    if len(raw) < expected:
+    if len(raw) != expected:
         raise TensorFormatError(
             "%s: file has %d bytes, expected %d" % (path, len(raw), expected)
         )
@@ -165,16 +166,18 @@ def _object(doc, key, names) -> dict:
 def _scalar(kind, value, key):
     """Cast one JSON value to ``kind`` (int, float or str); ``key`` names it in errors.
 
-    A string field takes only a string and a number field only a number: no
-    JSON boolean, and for an int field no fractional number, so that nothing
-    is silently converted.
+    A string field takes only a string and a number field only a finite number
+    (no boolean, NaN, Infinity or 1e400, which JSON reads as inf), and an int
+    field no fractional number, so that nothing is silently converted.
     """
     if kind is str:
         ok = isinstance(value, str)
+    elif isinstance(value, float):
+        ok = math.isfinite(value) and (kind is float or value.is_integer())
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and not (kind is int and isinstance(value, float) and not value.is_integer()))
-    _need(ok, "%s must be of type %s, got %s" % (key, kind.__name__, json.dumps(value)))
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    what = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+    _need(ok, "%s must be %s, got %s" % (key, what, json.dumps(value)))
     try:
         return kind(value)
     except OverflowError as exc:

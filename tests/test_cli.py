@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ def test_gen_learn_interp_export_info(workspace, capsys):
     out = capsys.readouterr().out
     assert "dims: 6 x 6" in out
     assert "sum:" in out and "min:" in out and "max:" in out
+
+
+def test_learn_log_does_not_change_the_run(workspace, capsys):
+    """learn writes the same weights and stdout with and without --log, and the
+    log holds row 0, one row per reported iteration and the reported status."""
+    root, cfg, pat = workspace
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    log = root / "run.csv"
+    outs = []
+    for name, extra in (("plain", []), ("logged", ["--log", log])):
+        capsys.readouterr()
+        assert run(["learn", "--config", cfg, "--sequence", root / "truth",
+                    "--out", root / name] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    for name in ("weights_axis0.gmlt", "weights_axis1.gmlt"):
+        assert (root / "plain" / name).read_bytes() == (root / "logged" / name).read_bytes()
+
+    status, iters, value = re.fullmatch(
+        r"learn: (\w+) after (\d+) iterations, objective (\S+)\n", outs[0]).groups()
+    lines = log.read_text().splitlines()
+    assert lines[0] == "iteration,objective,data_fit,reg_constant,reg_smooth,grad_inf,elapsed"
+    rows = [ln.split(",") for ln in lines[1:-1]]
+    assert [int(r[0]) for r in rows] == list(range(int(iters) + 1))
+    assert "%.12g" % float(rows[-1][1]) == value
+    assert lines[-1] == "# status=%s" % status
 
 
 def test_gen_is_deterministic(workspace):
@@ -274,6 +301,8 @@ def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key)
     ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": float("nan")}]},
      "regions[0].radius"),
     ({"endpoints": {"start": [float("nan"), 0]}}, "endpoints.start"),
+    ({"base": float("inf")}, "base"),
+    ({"endpoints": {"sigma": float("inf")}}, "endpoints.sigma"),
 ])
 def test_gen_nan_pattern_value_fails_at_its_key(tmp_path, capsys, overrides, key):
     """JSON's NaN fails the positivity check of its own key, not a later

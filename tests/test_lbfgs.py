@@ -143,3 +143,62 @@ def test_high_dimensional_convex_problem():
     res = minimize(fun, np.zeros(30), LbfgsOptions(max_iters=400, grad_tol=1e-8))
     assert res.status == STATUS_CONVERGED
     np.testing.assert_allclose(res.x, np.linalg.solve(H, b), atol=1e-5)
+
+
+def textbook_lbfgs(f, x, memory, max_iters, grad_tol, armijo=1e-4, shrink=0.5):
+    """L-BFGS as Nocedal & Wright write it (Numerical Optimization, Alg. 7.4
+    with H0 = gamma I, gamma = s.y / y.y of the newest pair, eq. 7.20), with
+    Armijo backtracking from the unit step.  A pair that fails the curvature
+    test is skipped and clears the history; a direction that is not a descent
+    direction is replaced by -g with an empty history.  Returns the accepted
+    iterates and the number of clears."""
+    fx, g = f(x)
+    S, Y = [], []
+    iterates, clears = [], 0
+    for _ in range(max_iters):
+        if np.abs(g).max() <= grad_tol:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y in zip(reversed(S), reversed(Y)):
+            alphas.append(1.0 / (y @ s) * (s @ q))
+            q = q - alphas[-1] * y
+        r = q * ((S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])) if S else q
+        for s, y, alpha in zip(S, Y, reversed(alphas)):
+            beta = 1.0 / (y @ s) * (y @ r)
+            r = r + (alpha - beta) * s
+        d = -r
+        if g @ d >= 0:
+            S, Y = [], []
+            d = -g
+        t = 1.0
+        while True:
+            xn = x + t * d
+            fn, gn = f(xn)
+            if fn <= fx + armijo * t * (g @ d):
+                break
+            t *= shrink
+        s, y = xn - x, gn - g
+        if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            S, Y = (S + [s])[-memory:], (Y + [y])[-memory:]
+        else:
+            S, Y = [], []
+            clears += 1
+        x, fx, g = xn, fn, gn
+        iterates.append(x)
+    return iterates, clears
+
+
+def test_iterates_match_the_textbook_two_loop_recursion():
+    """memory=2 on Rosenbrock from (-1.2, 1): a negative-curvature step
+    clears the history once on the way, and the newest pair alone sets gamma."""
+    x0 = np.array([-1.2, 1.0])
+    want, clears = textbook_lbfgs(rosenbrock, x0, memory=2, max_iters=200, grad_tol=1e-9)
+    assert clears >= 1
+
+    got = []
+    res = minimize(rosenbrock, x0, LbfgsOptions(memory=2, max_iters=200, grad_tol=1e-9),
+                   callback=lambda rec, x: got.append(x.copy()))
+    assert res.status == STATUS_CONVERGED
+    assert len(got) == len(want)
+    np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-12, atol=0)

@@ -64,6 +64,15 @@ def test_truncated_payload_rejected(tmp_path):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("extra", [64, 1])
+def test_trailing_bytes_rejected(tmp_path, extra):
+    p = tmp_path / "x.gmlt"
+    write_tensor(p, np.ones((2, 3)))
+    p.write_bytes(p.read_bytes() + b"\x00" * extra)
+    with pytest.raises(TensorFormatError, match="expected"):
+        read_tensor(p)
+
+
 def test_truncated_header_rejected(tmp_path):
     p = tmp_path / "x.gmlt"
     write_tensor(p, np.ones(3))
@@ -180,6 +189,11 @@ def test_missing_required_key_rejected(key):
         {"init": {"mode": "foo"}},
         {"init": {"mode": "log_uniform", "low": -1.0}},
         {"init": {"mode": "log_uniform", "low": 2.0, "high": 1.0}},
+        # a float field takes only a finite number
+        {"lbfgs": {"grad_tol": float("inf")}},
+        {"init": {"mode": "log_uniform", "high": float("inf")}},
+        {"epsilon": float("inf")},
+        {"lambda_s": float("inf")},
     ],
 )
 def test_invalid_values_rejected(patch):
@@ -187,6 +201,15 @@ def test_invalid_values_rejected(patch):
     doc.update(patch)
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_json_number_names_its_key(tmp_path, literal):
+    """Python's json reads NaN and Infinity, and 1e400 as inf; none is a number here."""
+    text = json.dumps(minimal_doc())[:-1] + ', "lbfgs": {"grad_tol": %s}}' % literal
+    (tmp_path / "c.json").write_text(text)
+    with pytest.raises(ConfigError, match=r"lbfgs\.grad_tol must be a finite number"):
+        read_config(tmp_path / "c.json")
 
 
 def test_whole_float_accepted_for_int_field():
