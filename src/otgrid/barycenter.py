@@ -30,8 +30,10 @@ the sweeps in reverse.  It rebuilds the scalings u_r = a_r / (K v_r) and
 v_r = b / (K u_r) bit for bit from the tape, combines the adjoint of each
 pointwise operation with one vector-Jacobian product per kernel
 application (``pull``), which returns the input adjoint K g and adds the
-application's weight gradient to the operator's gradient accumulator (see
-``otgrid.diffusion``), and flushes the accumulator once per sweep.
+application's weight gradient to the caller's gradient accumulator (see
+``otgrid.diffusion``), and flushes the accumulator once per sweep.  The
+tape holds arrays only, no operator: the caller that asked the operator for
+the accumulator finalizes it, once for any number of backward passes.
 """
 
 from __future__ import annotations
@@ -85,34 +87,36 @@ def _check_histograms(op: DiffusionOperator, a, iters: int) -> np.ndarray:
 
 @dataclass
 class BarycenterTape:
-    """Per-sweep record of the Sinkhorn loop.
+    """Per-sweep record of the Sinkhorn loop, built by ``_sweeps``.
 
     ``kv`` and ``ku`` are indexed [sweep, input, frame, vertex] and hold the
-    guarded kernel applications K v_r and K u_r; they are always recorded.
-    ``op``, the inputs a_r, the (F, R) weights ``lam`` and the v-targets ``b``
-    ([sweep, frame, vertex]) are what the backward pass needs on top, and stay
-    None in a history of two-marginal scalings.  The scalings are not kept:
-    u_r = a_r / Kv_r and v_r = b / Ku_r are rebuilt from them bit for bit, and
-    the solve states of an application, on the solve path, by its pull.
+    guarded kernel applications K v_r and K u_r of the ``inputs`` a_r.  The
+    (F, R) weights ``lam`` and the v-targets ``b`` ([sweep, frame, vertex])
+    are what the backward pass needs on top, and stay None in a history of
+    two-marginal scalings.  The tape holds no operator: the backward pass
+    adds into an accumulator of the operator the tape was recorded with.
+    The scalings are not kept: u_r = a_r / Kv_r and v_r = b / Ku_r are
+    rebuilt from them bit for bit, and the solve states of an application,
+    on the solve path, by its pull.
     """
 
     kv: np.ndarray
     ku: np.ndarray
-    op: DiffusionOperator | None = None
-    inputs: np.ndarray | None = None
+    inputs: np.ndarray
     lam: np.ndarray | None = None
     b: np.ndarray | None = None
     clamps: int = 0
 
 
-def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=None):
-    """Run ``iters`` sweeps from v_r = 1 and return ``(u, v, b)``.
+def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=False):
+    """Run ``iters`` sweeps from v_r = 1 and return ``(u, v, b, tape)``.
 
     Every frame runs the same sweeps on the same inputs a: u and v are
     (R, F, N) and b is (F, N), and each kernel application acts on the
     (F, N) block of one input.  The v-target b is ``target`` when given
     (one frame), else the geometric mean of the K u_r weighted by the rows
-    of the (F, R) ``lam``.  ``tape`` receives every sweep.  Denominators
+    of the (F, R) ``lam``.  With ``record`` set, every sweep is written into
+    the rows of the returned tape, else ``tape`` is None.  Denominators
     below 1e-300 are clamped and reported once, as a DegeneracyWarning at
     the caller of the public function that called this one.
     """
@@ -121,10 +125,13 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=No
     clamps = [0]
     v = np.ones((r_count, frames, n))
     u = np.empty_like(v)
-    kv = np.empty_like(v)
-    ku = np.empty_like(v)
+    # one row per sweep on the tape, else one row reused by every sweep
+    kvs = np.empty((iters if record else 1, r_count, frames, n))
+    kus = np.empty_like(kvs)
+    bs = np.empty((iters, frames, n)) if record and target is None else None
     b = target
     for l in range(iters):
+        kv, ku = kvs[l % len(kvs)], kus[l % len(kus)]
         for r in range(r_count):
             kv[r] = _guard(op.apply(v[r]), clamps)
             u[r] = a[r] / kv[r]
@@ -134,22 +141,20 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, tape=No
             for r in range(r_count):
                 logb += lam[:, r, None] * np.log(ku[r])
             b = np.exp(logb)
+            if bs is not None:
+                bs[l] = b
         for r in range(r_count):
             v[r] = b / ku[r]
-        if tape is not None:
-            tape.kv[l] = kv
-            tape.ku[l] = ku
-            if tape.b is not None:
-                tape.b[l] = b
     if clamps[0]:
         warnings.warn(
             "Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
             DegeneracyWarning,
             stacklevel=3,
         )
-    if tape is not None:
-        tape.clamps = clamps[0]
-    return u, v, b
+    tape = None
+    if record:
+        tape = BarycenterTape(kvs, kus, a, None if lam is None else lam.copy(), bs, clamps[0])
+    return u, v, b, tape
 
 
 def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = False):
@@ -165,46 +170,31 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     a = _check_histograms(op, inputs, iters)
     lam = np.asarray(lam, dtype=np.float64)
     rows = np.atleast_2d(lam)
-    r_count, n = a.shape
-    if lam.ndim not in (1, 2) or rows.shape[1] != r_count or not len(rows):
+    if lam.ndim not in (1, 2) or rows.shape[1] != len(a) or not len(rows):
         raise ValueError("need one weight per input histogram in every frame")
     check_distributions(rows, "barycenter weights")
-    tape = None
-    if record:
-        frames = len(rows)
-        tape = BarycenterTape(
-            np.empty((iters, r_count, frames, n)),
-            np.empty((iters, r_count, frames, n)),
-            op=op,
-            inputs=a,
-            lam=rows.copy(),
-            b=np.empty((iters, frames, n)),
-        )
-    _, _, b = _sweeps(op, a, iters, lam=rows, tape=tape)
+    _, _, b, tape = _sweeps(op, a, iters, lam=rows, record=record)
     return (b if lam.ndim == 2 else b[0]), tape
 
 
-def barycenter_backward(tape: BarycenterTape, gbar, accumulator=None):
-    """Gradient of a scalar loss with respect to the edge weights.
+def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
+    """Add the gradient of a scalar loss with respect to the edge weights to ``acc``.
 
     ``gbar`` is the loss gradient at the barycenter output, shaped as that
-    output.  The sweeps are replayed newest-first, with the scalings rebuilt
-    from the tape; one ``pull`` per kernel application (on the block of all
-    frames) gives its input adjoint and adds its weight gradient, and the
-    accumulator is flushed once per sweep.  The initial scalings v_r = 1 are
-    constants, so their incoming gradient is dropped.  Returns the gradient,
-    or adds it to ``accumulator`` (from ``op.gradient_accumulator()``, shared
-    by many barycenters and finalized by the caller) and returns None.
+    output, and ``acc`` a gradient accumulator of the operator the tape was
+    recorded with (``op.gradient_accumulator()``), which the caller
+    finalizes once, after any number of backward passes.  The sweeps are
+    replayed newest-first, with the scalings rebuilt from the tape; one
+    ``pull`` per kernel application (on the block of all frames) gives its
+    input adjoint and adds its weight gradient, and the accumulator is
+    flushed once per sweep.  The initial scalings v_r = 1 are constants, so
+    their incoming gradient is dropped.
     """
     iters, r_count, frames, n = tape.kv.shape
-    op = tape.op
-    if n != op.num_vertices:
-        raise ValueError("tape does not match the operator it was recorded with")
     gbar = np.asarray(gbar, dtype=np.float64)
     if gbar.size != frames * n:
         raise ValueError("need one gradient entry per barycenter entry")
     gbar = gbar.reshape(frames, n)
-    acc = op.gradient_accumulator() if accumulator is None else accumulator
     a, lam, kv, ku, b = tape.inputs, tape.lam, tape.kv, tape.ku, tape.b
     ones = np.ones((frames, n))
     gv = np.zeros((r_count, frames, n))
@@ -221,7 +211,6 @@ def barycenter_backward(tape: BarycenterTape, gbar, accumulator=None):
             v_in = b[l - 1] / ku[l - 1, r] if l else ones
             gv[r] = acc.pull(gp, v_in)
         acc.flush()
-    return acc.finalize() if accumulator is None else None
 
 
 def interpolate(op: DiffusionOperator, r0, r1, t: float, iters: int) -> np.ndarray:
@@ -253,10 +242,7 @@ def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = F
     b = _check_histograms(op, b, iters)
     if len(a) != 1 or len(b) != 1:
         raise ValueError("need one source and one target histogram")
-    tape = None
-    if history:
-        tape = BarycenterTape(*(np.empty((iters, 1, 1, op.num_vertices)) for _ in range(2)))
-    u, v, _ = _sweeps(op, a, iters, target=b[0], tape=tape)
+    u, v, _, tape = _sweeps(op, a, iters, target=b[0], record=history)
     if history:
         # the scalings of each sweep, rebuilt from its kernel applications
         states = [{"u": a[0] / tape.kv[l, 0, 0], "v": b[0] / tape.ku[l, 0, 0],

@@ -24,7 +24,9 @@ formula only for distances up to about t' cells: along an axis
 = x^2/4 - x^4/192 + ..., which is sub-quadratic in the far tail.
 
 An application takes a vector or an (F, N) block of one vector per row
-and returns K v in the same layout, on one of two paths.  By default it
+and returns K v in the same layout, on one of two paths.  Its input must
+be finite with N entries per row; anything else is a ValueError that
+names N and the shape, on either path.  By default it
 is S successive banded solves of the block's transpose, LAPACK's column
 layout.  On a grid of at most DENSE_MAX vertices (read at assembly), the
 first request for a gradient accumulator forms Minv = M^-1 with one
@@ -110,8 +112,19 @@ _KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 _PANEL = 64
 
 
-def _finite(x) -> np.ndarray:
+class AssemblyError(ValueError):
+    """Positive, finite weights that give no factor of M in float64: an entry
+    of M overflows, or its Cholesky factorization fails."""
+
+
+def _kernel_input(x, n: int) -> np.ndarray:
+    """``x`` as float64: a finite vector of ``n`` entries, or a block of rows
+    of ``n`` entries each, else ValueError; the one rule of every kernel
+    application."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError("kernel input must be a vector or rows of N = %d entries, got shape %r"
+                         % (n, x.shape))
     if not np.isfinite(x).all():
         raise ValueError("non-finite input to kernel application")
     return x
@@ -121,8 +134,9 @@ class DiffusionOperator:
     """The banded Cholesky factor of M, and kernel and adjoint applications.
 
     The factor is fixed at construction, which raises ValueError when the
-    weight vector has the wrong length or a non-positive entry, or when M
-    has a non-finite entry or is not positive definite; M itself is not
+    weight vector has the wrong length or a non-positive entry, and its
+    subclass AssemblyError when M has an entry that overflows or is not
+    positive definite in float64; M itself is not
     kept.  ``kernel`` is None until the first ``gradient_accumulator`` call
     forms the dense K, read-only, on a grid of at most DENSE_MAX vertices
     whose K stays clear of underflow.
@@ -143,25 +157,27 @@ class DiffusionOperator:
         # 1 / h_a^2 = (n_a - 1)^2 of each edge's axis
         inv_h2 = np.repeat([float((n_a - 1) ** 2) for n_a in spec.dims], field_sizes(spec))
         self._coeff = self.c * inv_h2
-        scaled = w * inv_h2
-        # M = Id - c L(scaled) in upper band storage: M[i, j] at band[kd + i - j, j]
-        kd = n // spec.dims[0]
-        band = np.zeros((kd + 1, n), order="F")
-        band[kd + i - j, j] = -self.c * scaled
-        # degrees summed axis by axis; a vertex is the lower end of at most
-        # one edge per axis, and the upper end of at most one
-        deg = np.zeros(n)
-        for sl in field_slices(spec):
-            deg[i[sl]] += scaled[sl]
-            deg[j[sl]] += scaled[sl]
-        band[kd] = 1.0 + self.c * deg
+        # an entry that overflows fails the finiteness check below
+        with np.errstate(over="ignore"):
+            scaled = w * inv_h2
+            # M = Id - c L(scaled) in upper band storage: M[i, j] at band[kd + i - j, j]
+            kd = n // spec.dims[0]
+            band = np.zeros((kd + 1, n), order="F")
+            band[kd + i - j, j] = -self.c * scaled
+            # degrees summed axis by axis; a vertex is the lower end of at most
+            # one edge per axis, and the upper end of at most one
+            deg = np.zeros(n)
+            for sl in field_slices(spec):
+                deg[i[sl]] += scaled[sl]
+                deg[j[sl]] += scaled[sl]
+            band[kd] = 1.0 + self.c * deg
         # LAPACK's Cholesky passes NaN and inf through without complaint; the
         # diagonal entry bounds its row
         if not np.isfinite(band[kd]).all():
-            raise ValueError("diffusion matrix has non-finite entries: corrupted weights")
+            raise AssemblyError("diffusion matrix has non-finite entries: weights too large")
         self._cholesky, info = dpbtrf(band, overwrite_ab=1)
         if info != 0:
-            raise ValueError("diffusion matrix factorization failed: LAPACK info %d" % info)
+            raise AssemblyError("diffusion matrix factorization failed: LAPACK info %d" % info)
         self._minv = self.kernel = None
         # K is formed, where allowed, by the first gradient_accumulator()
         self._kernel_pending = n <= DENSE_MAX
@@ -172,14 +188,22 @@ class DiffusionOperator:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One backward-Euler substep: solve M x = b for a vector or an
-        (N, k) block, by the banded Cholesky factor; ``b`` is not changed."""
-        return dpbtrs(self._cholesky, b)[0]
+        (N, k) block, by the banded Cholesky factor; ``b`` is not changed.
+        ValueError unless ``b`` has N rows, or where LAPACK rejects it."""
+        if np.shape(b)[:1] != (self.num_vertices,):
+            raise ValueError("solve needs N = %d rows, got shape %r"
+                             % (self.num_vertices, np.shape(b)))
+        x, info = dpbtrs(self._cholesky, b)
+        if info != 0:
+            raise ValueError("banded solve of a %r block failed: LAPACK info %d"
+                             % (np.shape(b), info))
+        return x
 
     def apply(self, v) -> np.ndarray:
         """K v for a vector or an (F, N) block of one vector per row, in the
         layout of ``v``: v K with a dense K (K is symmetric), else S solves
         of the transpose."""
-        v = _finite(v)
+        v = _kernel_input(v, self.num_vertices)
         if self.kernel is not None:
             return v @ self.kernel
         x = v.T
@@ -199,9 +223,10 @@ class DiffusionOperator:
         back.  Returns ``(K g, dw)``: the gradient pulled back to x and the
         per-edge weight gradient, summed over the rows.
         """
-        x, g = _finite(x), _finite(g)
+        x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
         if x.shape != g.shape:
             raise ValueError("input %r and gradient %r differ in shape" % (x.shape, g.shape))
+        x, g = _kernel_input(x, self.num_vertices), _kernel_input(g, self.num_vertices)
         xt, gt, states = x.T, g.T, []
         for _ in range(self.substeps):
             xt = self.solve(xt)

@@ -18,6 +18,7 @@ change it without versioning the on-disk format.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ class GridSpec:
 
     @property
     def num_vertices(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def field_shape(spec: GridSpec, axis: int) -> tuple[int, ...]:

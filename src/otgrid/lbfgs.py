@@ -68,10 +68,12 @@ class MinimizeResult:
 
 
 def _evaluate(f, x, where):
-    """f(x) as (value, float64 gradient); a non-finite one is a ValueError naming ``where``."""
+    """f(x) as (value, float64 gradient).  A value of +inf marks a point f
+    cannot evaluate, and its gradient is not read; NaN, -inf and a
+    non-finite gradient at a finite value are a ValueError naming ``where``."""
     fx, g = f(x)
     g = np.asarray(g, dtype=np.float64)
-    if not np.isfinite(fx) or not np.isfinite(g).all():
+    if fx != np.inf and not (np.isfinite(fx) and np.isfinite(g).all()):
         raise ValueError("objective returned non-finite value/gradient at %s" % where)
     return fx, g
 
@@ -80,12 +82,15 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
     """Minimize f: x -> (value, gradient) from x0.
 
     Every accepted step satisfies the Armijo decrease condition, so the
-    recorded values are monotone nonincreasing.  ``callback``, if given,
+    recorded values are monotone nonincreasing.  A trial point where f is
+    +inf fails that condition, so the step shrinks.  ``callback``, if given,
     is invoked after each accepted iteration with (record, x).
     """
     opts = opts or LbfgsOptions()
     x = np.array(x0, dtype=np.float64, copy=True)
     fx, g = _evaluate(f, x, "the starting point")
+    if fx == np.inf:
+        raise ValueError("objective is +inf at the starting point")
     evals = 1
     pairs = deque(maxlen=opts.memory)  # (s, y, 1 / s.y), oldest first
     history = []

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensorio
 from .barycenter import barycenter, barycenter_backward, check_distributions
-from .diffusion import assemble
+from .diffusion import AssemblyError, assemble
 from .grids import GridSpec, parallel_difference
 from .tensorio import LOSS_KINDS
 
@@ -164,12 +164,27 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     every sequence, and so is one weight-gradient accumulator; frame values
     are reduced in the fixed documented order.  ``threads`` is
     accepted for compatibility and has no effect.
+
+    The value is +inf, with a NaN gradient, at finite log-weights whose
+    weights cannot be assembled: exp gives 0 or inf, or M overflows or
+    fails to factor.  A line search backs off from such a point.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
     if not np.isfinite(wlog).all():
         raise ValueError("non-finite log-weights")
-    w = np.exp(wlog)
-    op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
+    with np.errstate(over="ignore"):  # an inf weight is caught below
+        w = np.exp(wlog)
+    op = None
+    if np.isfinite(w).all() and w.min() > 0:
+        try:
+            op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
+        except AssemblyError:
+            pass
+    if op is None:
+        grad = np.full_like(wlog, np.nan)
+        if with_parts:
+            return np.inf, grad, ObjectiveParts(np.inf, np.inf, np.inf)
+        return np.inf, grad
     # requested before the sequences, so that their forward passes run on
     # the dense K where the accumulator forms one
     grad_acc = op.gradient_accumulator()
@@ -198,7 +213,7 @@ class Manifest:
     """The ``manifest.json`` of a sequence directory."""
 
     dims: tuple[int, ...]
-    frames: tuple[str, ...]  # file names, one per frame
+    frames: tuple[str, ...]  # file names in the sequence directory, one per frame
     timestamps: tuple[float, ...]
 
     def __post_init__(self):
@@ -209,6 +224,10 @@ class Manifest:
                 raise ValueError("dims[%d] must be at least 2, got %d" % (a, n))
         if len(self.frames) < 2:
             raise ValueError("frames must list at least 2 frames, got %d" % len(self.frames))
+        for k, name in enumerate(self.frames):
+            if name in ("", ".", "..") or name != os.path.basename(name):
+                raise ValueError("frames[%d] must be a file name in the sequence directory, "
+                                 "got %r" % (k, name))
         if len(self.timestamps) != len(self.frames):
             raise ValueError("timestamps must have one entry per frame: %d for %d frames"
                              % (len(self.timestamps), len(self.frames)))

@@ -99,7 +99,9 @@ def read_tensor(path) -> np.ndarray:
 # read by ``parse_object`` into a dataclass: the keys are its field names,
 # the defaults its field defaults, and each value is cast by its field's
 # type.  LbfgsOptions is flat, but in a run config its line-search fields
-# sit one level further down, under "lbfgs.line_search".
+# sit one level further down, under "lbfgs.line_search".  A key that an
+# object's text repeats is rejected too: ``read_json`` notes it, since a
+# dict keeps only its last value.
 
 LOSS_KINDS = ("l1", "l2", "kl")
 _GROUPS = {LbfgsOptions: {"line_search": ("armijo", "shrink", "max_trials", "init_step")}}
@@ -154,10 +156,28 @@ def _path(key, name):
     return "%s.%s" % (key, name) if key else name
 
 
+class _JsonObject(dict):
+    """A JSON object as ``read_json`` gives it: a dict that lists the keys
+    the text repeats, which the dict keeps only the last value of."""
+
+    repeated = ()
+
+
+def _json_object(pairs) -> _JsonObject:
+    doc = _JsonObject(pairs)
+    if len(doc) < len(pairs):
+        names = [k for k, _ in pairs]
+        doc.repeated = sorted({k for k in names if names.count(k) > 1})
+    return doc
+
+
 def _object(doc, key, names) -> dict:
-    """Check that ``doc`` is a JSON object whose keys all lie in ``names``."""
+    """Check that ``doc`` is a JSON object whose keys all lie in ``names``
+    and that its text names each of them once."""
     _need(isinstance(doc, dict),
           "%s must be an object, got %s" % (key or "the root", json.dumps(doc)))
+    repeated = getattr(doc, "repeated", ())
+    _need(not repeated, "repeated keys: %s" % ", ".join(_path(key, k) for k in repeated))
     unknown = sorted(set(doc) - set(names))
     _need(not unknown, "unknown keys: %s" % ", ".join(_path(key, k) for k in unknown))
     return doc
@@ -205,8 +225,9 @@ def parse_object(cls, doc, key=""):
     """Read the JSON object ``doc`` into the dataclass ``cls``; ``key`` is its path.
 
     Keys are field names and absent fields take their defaults.  An unknown
-    key, a missing required field, a value of the wrong type and a value
-    that ``cls`` rejects are each a ConfigError that names its key path.
+    key, a key repeated in the text ``read_json`` read, a missing required
+    field, a value of the wrong type and a value that ``cls`` rejects are
+    each a ConfigError that names its key path.
     """
     hints = get_type_hints(cls)
     groups = _GROUPS.get(cls, {})
@@ -234,10 +255,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def read_json(path):
-    """The JSON document in ``path``; malformed JSON is a ConfigError naming the file."""
+    """The JSON document in ``path``; malformed JSON is a ConfigError naming the file.
+    Its objects remember repeated keys, which ``parse_object`` rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ConfigError("%s: %s" % (path, exc)) from exc
 

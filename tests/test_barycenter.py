@@ -292,8 +292,10 @@ def test_backward_matches_finite_differences():
         return float(gbar @ b)
 
     op = assemble(spec, w, 2e-2, 3)
+    acc = op.gradient_accumulator()
     b, tape = barycenter(op, h, lam, L, record=True)
-    dw = barycenter_backward(tape, gbar)
+    barycenter_backward(tape, gbar, acc)
+    dw = acc.finalize()
     step = 1e-5
     for e in range(0, m, 3):  # every third edge keeps the loop quick
         wp = w.copy()
@@ -317,8 +319,11 @@ def test_backward_three_inputs():
         b, _ = barycenter(assemble(spec, wvec, 1.5e-2, 2), h, lam, 3)
         return float(gbar @ b)
 
-    _, tape = barycenter(assemble(spec, w, 1.5e-2, 2), h, lam, 3, record=True)
-    dw = barycenter_backward(tape, gbar)
+    op = assemble(spec, w, 1.5e-2, 2)
+    acc = op.gradient_accumulator()
+    _, tape = barycenter(op, h, lam, 3, record=True)
+    barycenter_backward(tape, gbar, acc)
+    dw = acc.finalize()
     step = 1e-5
     for e in (0, 7, 13):
         wp = w.copy()
@@ -339,6 +344,7 @@ def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
     op = assemble(spec, constant_weights(spec), 2e-2, substeps)
     r_count = 2
     h = random_histograms(spec, r_count, 14)
+    acc = op.gradient_accumulator()
     _, tape = barycenter(op, h, np.array([0.4, 0.6]), iters, record=True)
     solves = [0]
     solve = op.solve
@@ -348,17 +354,25 @@ def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
         return solve(b)
 
     op.solve = counted
-    barycenter_backward(tape, np.ones(spec.num_vertices))
+    barycenter_backward(tape, np.ones(spec.num_vertices), acc)
+    acc.finalize()
     assert solves[0] == iters * r_count * 2 * 2 * substeps
 
 
-def test_backward_requires_matching_operator():
+def test_backward_requires_matching_operator(monkeypatch):
+    """An accumulator of an operator on another grid fails at the first pull,
+    on the solve path as on the dense K."""
     spec_a = GridSpec((3, 3))
     spec_b = GridSpec((4, 4))
     op_a = assemble(spec_a, constant_weights(spec_a), 1e-2, 2)
-    op_b = assemble(spec_b, constant_weights(spec_b), 1e-2, 2)
     h = random_histograms(spec_a, 2, 13)
     _, tape = barycenter(op_a, h, np.array([0.5, 0.5]), 2, record=True)
-    tape.op = op_b
-    with pytest.raises(ValueError):
-        barycenter_backward(tape, np.ones(9))
+    for dense in (False, True):
+        with monkeypatch.context() as m:
+            if not dense:
+                m.setattr(otgrid.diffusion, "DENSE_MAX", 0)
+            op_b = assemble(spec_b, constant_weights(spec_b), 1e-2, 2)
+            acc = op_b.gradient_accumulator()
+        assert (op_b.kernel is not None) == dense
+        with pytest.raises(ValueError, match="N = 16"):
+            barycenter_backward(tape, np.ones(9), acc)

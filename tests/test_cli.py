@@ -6,7 +6,7 @@ import pytest
 
 from otgrid import cli
 from otgrid.color import read_ppm, write_ppm
-from otgrid.grids import GridSpec, constant_weights, save_weights
+from otgrid.grids import GridSpec, constant_weights, load_weights, save_weights
 from otgrid.lbfgs import LbfgsOptions
 from otgrid.tensorio import read_tensor, write_tensor
 
@@ -323,8 +323,13 @@ def test_gen_nan_pattern_value_fails_at_its_key(tmp_path, capsys, overrides, key
     (lambda m: m.update(dims=[6, 1]), "dims[1]"),
     (lambda m: m.update(dims=[]), "dims"),
     (lambda m: m["timestamps"].pop(), "timestamps"),
+    # a frame is a file in the sequence directory, named before any is opened
+    (lambda m: m["frames"].__setitem__(1, "../x.gmlt"), "frames[1]"),
+    (lambda m: m["frames"].__setitem__(2, "sub/x.gmlt"), "frames[2]"),
+    (lambda m: m["frames"].__setitem__(0, "/tmp/x.gmlt"), "frames[0]"),
 ], ids=["missing-frames", "dims-not-list", "fractional-dim", "frame-name-not-string",
-        "empty-frames", "short-axis", "no-axes", "short-timestamps"])
+        "empty-frames", "short-axis", "no-axes", "short-timestamps", "parent-dir",
+        "subdir", "absolute"])
 def test_learn_bad_manifest_is_config_error(workspace, capsys, edit, key):
     root, cfg, pat = workspace
     run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
@@ -336,6 +341,50 @@ def test_learn_bad_manifest_is_config_error(workspace, capsys, edit, key):
     assert run(["learn", "--config", cfg, "--sequence", root / "truth",
                 "--out", root / "o"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_repeated_json_key_is_config_error(workspace, capsys):
+    """In a gen pattern, a list element of it and a manifest alike."""
+    root, cfg, _ = workspace
+    pat = root / "p.json"
+    for text, key in (('{"base": 1.0, "base": 2.0}', "base"),
+                      ('{"regions": [{"factor": 0.2, "factor": 0.3, "lo": [2, 2], "hi": [3, 3]}]}',
+                       "regions[0].factor")):
+        pat.write_text(text)
+        assert run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "o"]) == 2
+        assert "repeated keys: %s\n" % key in capsys.readouterr().err
+    write_pattern(pat)
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    path = root / "truth" / "manifest.json"
+    path.write_text(path.read_text().replace('"dims"', '"timestamps": [0, 1], "dims"', 1))
+    capsys.readouterr()
+    assert run(["learn", "--config", cfg, "--sequence", root / "truth",
+                "--out", root / "w"]) == 2
+    assert "repeated keys: timestamps\n" in capsys.readouterr().err
+
+
+def test_learn_backs_off_from_weights_out_of_the_float_range(tmp_path, monkeypatch):
+    """The first trial step of this run puts log-weights near +-2,600, where
+    exp gives 0 and inf: the objective is +inf there and the step shrinks."""
+    cfg = write_config(tmp_path / "c.json", n=8, epsilon=0.012, substeps=5,
+                       sinkhorn_iters=10, frames=4, lambda_s=30.0, seed=1,
+                       init={"mode": "log_uniform", "low": 0.5, "high": 2.0})
+    pat = write_pattern(tmp_path / "p.json")
+    assert run(["gen", "--config", cfg, "--pattern", pat, "--out", tmp_path / "truth"]) == 0
+    values = []
+    real = cli.evaluate_with_grad
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli, "evaluate_with_grad", spy)
+    assert run(["learn", "--config", cfg, "--sequence", tmp_path / "truth",
+                "--out", tmp_path / "w"]) == 0
+    assert values[1] == np.inf
+    w = load_weights(tmp_path / "w", GridSpec((8, 8)))
+    assert np.isfinite(w).all() and w.min() > 0
 
 
 def test_learn_passes_config_lbfgs_settings_to_minimize(workspace, monkeypatch):

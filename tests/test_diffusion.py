@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -164,6 +166,25 @@ def test_apply_rejects_non_finite():
     v[4] = np.nan
     with pytest.raises(ValueError):
         op.apply(v)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["solves", "dense"])
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (12,), (2, 12)])
+def test_kernel_input_of_the_wrong_width_is_rejected(dense, shape):
+    """A kernel input needs N entries per row on either path: LAPACK alone
+    would solve a short one against nothing and the first N of a long one."""
+    spec = GridSpec((3, 3))
+    op = assemble(spec, constant_weights(spec), 1e-2, 2)
+    if dense:
+        op.gradient_accumulator()
+    assert (op.kernel is not None) == dense
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match=r"N = 9.*%s" % re.escape(repr(shape))):
+        op.apply(x)
+    with pytest.raises(ValueError, match=r"N = 9.*%s" % re.escape(repr(shape))):
+        op.adjoint_weights(x, x)
+    with pytest.raises(ValueError, match=r"N = 9"):
+        op.solve(x.T)
 
 
 def test_dense_kernel_is_the_formed_kernel():

@@ -98,6 +98,42 @@ def test_non_finite_gradient_mid_run_raises():
         minimize(flaky, np.array([-1.2, 1.0]), LbfgsOptions(max_iters=50))
 
 
+def test_infinite_trial_value_shrinks_the_step():
+    """A trial point where f is +inf, a point it cannot evaluate, is a failed
+    Armijo trial: the step shrinks instead of the run ending."""
+    seen = []
+
+    def walled(x):
+        # 5 x^2 inside |x| <= 2; the first trial step, x0 - g = -9, is outside
+        value = 5.0 * float(x @ x) if np.abs(x).max() <= 2.0 else np.inf
+        seen.append(value)
+        return value, np.full_like(x, np.nan) if value == np.inf else 10.0 * x
+
+    res = minimize(walled, np.array([1.0]))
+    assert seen[1] == np.inf
+    assert res.status == STATUS_CONVERGED
+    np.testing.assert_allclose(res.x, 0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_start_value_raises(value):
+    """+inf too: at the start no step can shrink (NaN: see above)."""
+    with pytest.raises(ValueError, match="starting point"):
+        minimize(lambda x: (value, np.zeros_like(x)), np.ones(2))
+
+
+@pytest.mark.parametrize("value", [-np.inf, np.nan])
+def test_nan_or_minus_inf_trial_value_raises(value):
+    calls = []
+
+    def bad_trial(x):
+        calls.append(1)
+        return (value, np.zeros_like(x)) if len(calls) > 1 else quadratic(x)
+
+    with pytest.raises(ValueError, match="iteration 1"):
+        minimize(bad_trial, np.ones(2))
+
+
 def test_callback_sees_every_accepted_iteration():
     seen = []
 

@@ -272,6 +272,20 @@ def test_non_finite_log_weights_rejected():
         evaluate_with_grad(obj, x)
 
 
+@pytest.mark.parametrize("big", [800.0, -800.0, 709.0, 700.0],
+                         ids=["exp-inf", "exp-zero", "M-overflows", "M-fails-to-factor"])
+def test_unassemblable_log_weights_give_an_infinite_value(big):
+    """Finite log-weights whose weights cannot be assembled are a point the
+    objective has no value at: +inf, which a line search backs off from."""
+    spec = GridSpec((3, 3))
+    obj = Objective(spec, (small_sequence(spec, 3),), 1e-2, 2, 3)
+    x = np.zeros(edge_count(spec))
+    x[0] = big
+    value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
+    assert value == np.inf and parts.data_fit == np.inf
+    assert grad.shape == x.shape and np.isnan(grad).all()
+
+
 # --- sequence files ---------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -209,6 +210,19 @@ def test_non_finite_json_number_names_its_key(tmp_path, literal):
     text = json.dumps(minimal_doc())[:-1] + ', "lbfgs": {"grad_tol": %s}}' % literal
     (tmp_path / "c.json").write_text(text)
     with pytest.raises(ConfigError, match=r"lbfgs\.grad_tol must be a finite number"):
+        read_config(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("tail, key", [
+    (', "n": 6', "n"),
+    (', "lbfgs": {"max_iters": 5, "max_iters": 7}', "lbfgs.max_iters"),
+    (', "lbfgs": {"line_search": {"shrink": 0.5, "shrink": 0.4}}', "lbfgs.line_search.shrink"),
+    (', "init": {"mode": "log_uniform", "low": 0.5, "low": 0.7}', "init.low"),
+], ids=["root", "nested", "grouped", "init"])
+def test_repeated_json_key_names_its_path(tmp_path, tail, key):
+    """A dict keeps the last of a repeated key's values; the reader refuses it."""
+    (tmp_path / "c.json").write_text(json.dumps(minimal_doc())[:-1] + tail + "}")
+    with pytest.raises(ConfigError, match=r"repeated keys: %s$" % re.escape(key)):
         read_config(tmp_path / "c.json")
 
 
