@@ -17,23 +17,24 @@ Every forward kernel application is ``DiffusionOperator.apply``.
 
 The weights lambda are one row of R weights per frame, an (F, R) array.
 All frames share the inputs a_r and run through the same sweeps, so u_r
-and v_r are (F, N) blocks and each kernel application takes the block of
-one input and returns K v in the same shape: 2R applications per sweep,
-whatever F is.  Displacement interpolation between two histograms is the
-R=2 barycenter with weights (1-t, t), and a sequence's frames at times
-t_i are one call with rows (1-t_i, t_i).
+and v_r are (F, N) blocks of (R, F, N) arrays, and each forward kernel
+application takes the block of one input and returns K v in the same
+shape: 2R applications per sweep, whatever F is.  Displacement
+interpolation between two histograms is the R=2 barycenter with weights
+(1-t, t), and a sequence's frames at times t_i are one call with rows
+(1-t_i, t_i).
 
 A recorded call keeps, per sweep, K v_r and K u_r of every input and frame
 and the targets b: arrays indexed [sweep, input, frame, vertex] and
 [sweep, frame, vertex], 8 L F N (2R + 1) bytes.  The backward pass replays
-the sweeps in reverse.  It rebuilds the scalings u_r = a_r / (K v_r) and
-v_r = b / (K u_r) bit for bit from the tape, combines the adjoint of each
-pointwise operation with one vector-Jacobian product per kernel
-application (``pull``), which returns the input adjoint K g and adds the
-application's weight gradient to the caller's gradient accumulator (see
-``otgrid.diffusion``), and flushes the accumulator once per sweep.  The
-tape holds arrays only, no operator: the caller that asked the operator for
-the accumulator finalizes it, once for any number of backward passes.
+the sweeps in reverse on the (R, F, N) arrays.  It rebuilds the scalings
+u_r = a_r / (K v_r) and v_r = b / (K u_r) bit for bit from the tape and
+pulls each half-sweep back as one (R F, N) block, through the K u_r and
+then the K v_r: two vector-Jacobian products (``pull``) per sweep, which
+return the input adjoints K g and add the weight gradient to the caller's
+accumulator (see ``otgrid.diffusion``), and one flush.  The tape holds
+arrays only, no operator: the caller that asked the operator for the
+accumulator finalizes it, once for any number of backward passes.
 """
 
 from __future__ import annotations
@@ -132,19 +133,18 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
     b = target
     for l in range(iters):
         kv, ku = kvs[l % len(kvs)], kus[l % len(kus)]
+        # one application per input: perfbench's tracer test
+        # (test_tracer_counts_every_caller_and_restores) counts them
         for r in range(r_count):
             kv[r] = _guard(op.apply(v[r]), clamps)
             u[r] = a[r] / kv[r]
             ku[r] = _guard(op.apply(u[r]), clamps)
         if target is None:
-            logb = np.zeros((frames, n))
-            for r in range(r_count):
-                logb += lam[:, r, None] * np.log(ku[r])
-            b = np.exp(logb)
+            # a sum over axis 0 adds the inputs in order
+            b = np.exp((lam.T[:, :, None] * np.log(ku)).sum(axis=0))
             if bs is not None:
                 bs[l] = b
-        for r in range(r_count):
-            v[r] = b / ku[r]
+        v = b / ku
     if clamps[0]:
         warnings.warn(
             "Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
@@ -184,32 +184,30 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     output, and ``acc`` a gradient accumulator of the operator the tape was
     recorded with (``op.gradient_accumulator()``), which the caller
     finalizes once, after any number of backward passes.  The sweeps are
-    replayed newest-first, with the scalings rebuilt from the tape; one
-    ``pull`` per kernel application (on the block of all frames) gives its
-    input adjoint and adds its weight gradient, and the accumulator is
-    flushed once per sweep.  The initial scalings v_r = 1 are constants, so
-    their incoming gradient is dropped.
+    replayed newest-first on (R, F, N) arrays, with the scalings rebuilt
+    from the tape.  Each half-sweep is one ``pull`` on the (R F, N) block
+    of all inputs and frames, which gives the input adjoints and adds the
+    weight gradient: two pulls per sweep, whatever R is, and one flush.
+    The initial scalings v_r = 1 are constants, so their incoming gradient
+    is dropped.
     """
     iters, r_count, frames, n = tape.kv.shape
     gbar = np.asarray(gbar, dtype=np.float64)
     if gbar.size != frames * n:
         raise ValueError("need one gradient entry per barycenter entry")
     gbar = gbar.reshape(frames, n)
-    a, lam, kv, ku, b = tape.inputs, tape.lam, tape.kv, tape.ku, tape.b
-    ones = np.ones((frames, n))
+    a, lam, kv, ku, b = tape.inputs[:, None], tape.lam.T[:, :, None], tape.kv, tape.ku, tape.b
+    rows = (r_count * frames, n)
     gv = np.zeros((r_count, frames, n))
     for l in range(iters - 1, -1, -1):
-        gb = gbar.copy() if l == iters - 1 else np.zeros((frames, n))
-        for r in range(r_count):
-            gb += gv[r] / ku[l, r]
-        for r in range(r_count):
-            u = a[r] / kv[l, r]
-            v = b[l] / ku[l, r]
-            gq = lam[:, r, None] * gb * b[l] / ku[l, r] - gv[r] * v / ku[l, r]
-            gu = acc.pull(gq, u)
-            gp = -gu * u / kv[l, r]
-            v_in = b[l - 1] / ku[l - 1, r] if l else ones
-            gv[r] = acc.pull(gp, v_in)
+        gb = (gv / ku[l]).sum(axis=0) + (gbar if l == iters - 1 else 0.0)
+        u = a / kv[l]
+        v = b[l] / ku[l]
+        gq = lam * gb * b[l] / ku[l] - gv * v / ku[l]
+        gu = acc.pull(gq.reshape(rows), u.reshape(rows)).reshape(gq.shape)
+        gp = -gu * u / kv[l]
+        v_in = b[l - 1] / ku[l - 1] if l else np.ones_like(gp)
+        gv = acc.pull(gp.reshape(rows), v_in.reshape(rows)).reshape(gp.shape)
         acc.flush()
 
 

@@ -244,8 +244,8 @@ class DiffusionOperator:
     def gradient_accumulator(self):
         """A fresh sum of weight gradients over many kernel applications.
 
-        ``pull(g, x)`` returns K g for the application of K to x (an (F, N)
-        block of one vector per row) with downstream gradient g, and adds
+        ``pull(g, x)`` returns K g for the application of K to x (any block
+        of rows, one vector per row) with downstream gradient g, and adds
         that application's weight gradient; ``flush()`` marks the end of a
         batch of pulls (one backward sweep's); ``finalize()``, called once,
         returns the summed per-edge gradient.  The first call forms the

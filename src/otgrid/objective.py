@@ -166,8 +166,10 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     accepted for compatibility and has no effect.
 
     The value is +inf, with a NaN gradient, at finite log-weights whose
-    weights cannot be assembled: exp gives 0 or inf, or M overflows or
-    fails to factor.  A line search backs off from such a point.
+    weights cannot be assembled (exp gives 0 or inf, or M overflows or
+    fails to factor), or whose total or gradient is not finite (a
+    regularizer overflows, even under a zero coefficient).  A line search
+    backs off from such a point.  The parts stay as computed.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
     if not np.isfinite(wlog).all():
@@ -195,11 +197,13 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     del op  # lets finalize free a dense K before its recursion
     dw_data = grad_acc.finalize()
 
-    fc, fc_grad = reg_constant(w)
-    fs, fs_grad = reg_smooth(obj.grid, w)
-    total = data_fit + obj.lambda_c * fc + obj.lambda_s * fs
-    dw_total = dw_data + obj.lambda_c * fc_grad + obj.lambda_s * fs_grad
-    grad = dw_total * w
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
+        fc, fc_grad = reg_constant(w)
+        fs, fs_grad = reg_smooth(obj.grid, w)
+        total = data_fit + obj.lambda_c * fc + obj.lambda_s * fs
+        grad = (dw_data + obj.lambda_c * fc_grad + obj.lambda_s * fs_grad) * w
+    if not (np.isfinite(total) and np.isfinite(grad).all()):
+        total, grad = np.inf, np.full_like(wlog, np.nan)
     if with_parts:
         return total, grad, ObjectiveParts(data_fit, fc, fs)
     return total, grad

@@ -275,12 +275,16 @@ def export_pgm(t, path) -> None:
     """Write a 2-D tensor as a 16-bit binary PGM, min-max normalized.
 
     A constant tensor has no range to normalize, so it maps to all zeros.
+    A finite range too wide for float64 is normalized on the halved values.
     """
     arr = np.asarray(t, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("PGM export needs a 2-D tensor, got ndim=%d" % arr.ndim)
     lo = arr.min()
     hi = arr.max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo):
+            arr, lo, hi = arr / 2, lo / 2, hi / 2
     if hi > lo:
         scaled = np.round((arr - lo) / (hi - lo) * 65535.0)
     else:

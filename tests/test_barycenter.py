@@ -337,7 +337,9 @@ def test_backward_three_inputs():
 def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
     """Each of the 2R kernel applications of a sweep is pulled back by two
     chains of S solves: one rebuilds its solve states, which the tape does
-    not keep, and one yields both its input and its weight adjoint."""
+    not keep, and one yields both its input and its weight adjoint.  A
+    half-sweep's R applications are pulled back as one block, so the
+    chains of a sweep are 2 x 2 S solve calls of R columns each."""
     monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the solve path
     spec = GridSpec((4, 3))
     iters, substeps = 3, 4
@@ -346,17 +348,18 @@ def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
     h = random_histograms(spec, r_count, 14)
     acc = op.gradient_accumulator()
     _, tape = barycenter(op, h, np.array([0.4, 0.6]), iters, record=True)
-    solves = [0]
+    solves = [0, 0]  # calls, columns
     solve = op.solve
 
     def counted(b):
         solves[0] += 1
+        solves[1] += b.shape[1]
         return solve(b)
 
     op.solve = counted
     barycenter_backward(tape, np.ones(spec.num_vertices), acc)
     acc.finalize()
-    assert solves[0] == iters * r_count * 2 * 2 * substeps
+    assert solves == [iters * 2 * 2 * substeps, iters * r_count * 2 * 2 * substeps]
 
 
 def test_backward_requires_matching_operator(monkeypatch):

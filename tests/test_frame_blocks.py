@@ -5,7 +5,9 @@ kernel application acting on an (F, N) block, and the objective makes one
 such call per sequence.  The reference is the per-frame path: one call
 with a 1-D weight vector per frame, and, for the objective, one recorded
 barycenter and one backward pass per frame into a shared accumulator.
-Both are checked at 1e-13 on the dense path (20x20) and on the solve path
+The backward pass pulls each half-sweep back as one (R F, N) block; its
+reference is the per-input replay, one pull per input and half-sweep.
+All are checked at 1e-13 on the dense path (20x20) and on the solve path
 (6x5x4 with ``DENSE_MAX`` patched to 0).
 """
 
@@ -91,6 +93,54 @@ def test_objective_matches_per_frame_loop(spec, kind, frames):
     val_ref, grad_ref = per_frame_evaluation(obj, wlog)
     assert abs(val - val_ref) <= RTOL * abs(val_ref)
     assert rel_diff(grad, grad_ref) <= RTOL
+
+
+def per_input_backward(tape, gbar, acc):
+    """The backward pass with one pull per input and half-sweep, 2R pulls
+    per sweep: the reference for the stacked one."""
+    iters, r_count, frames, n = tape.kv.shape
+    gbar = np.asarray(gbar, dtype=np.float64).reshape(frames, n)
+    a, lam, kv, ku, b = tape.inputs, tape.lam, tape.kv, tape.ku, tape.b
+    ones = np.ones((frames, n))
+    gv = np.zeros((r_count, frames, n))
+    for l in range(iters - 1, -1, -1):
+        gb = gbar.copy() if l == iters - 1 else np.zeros((frames, n))
+        for r in range(r_count):
+            gb += gv[r] / ku[l, r]
+        for r in range(r_count):
+            u = a[r] / kv[l, r]
+            v = b[l] / ku[l, r]
+            gq = lam[:, r, None] * gb * b[l] / ku[l, r] - gv[r] * v / ku[l, r]
+            gu = acc.pull(gq, u)
+            gp = -gu * u / kv[l, r]
+            v_in = b[l - 1] / ku[l - 1, r] if l else ones
+            gv[r] = acc.pull(gp, v_in)
+        acc.flush()
+
+
+@pytest.mark.parametrize("frames", [1, 4])
+@pytest.mark.parametrize("r_count", [2, 3])
+def test_stacked_backward_matches_per_input_pulls(spec, r_count, frames):
+    """The weight gradient of one pull per half-sweep, on the block of all
+    inputs and frames, is the per-input one; a backward pass makes two
+    pulls per sweep, whatever R is."""
+    op = operator(spec)
+    rng = np.random.default_rng(8)
+    h = rng.uniform(0.05, 1.0, (r_count, spec.num_vertices))
+    h /= h.sum(axis=1, keepdims=True)
+    _, tape = barycenter(op, h, weight_rows(frames, r_count, 9), ITERS, record=True)
+    gbar = rng.normal(size=(frames, spec.num_vertices))
+    grads, pulls = [], []
+    for backward in (barycenter_backward, per_input_backward):
+        acc = op.gradient_accumulator()
+        shapes, pull = [], acc.pull
+        acc.pull = lambda g, x: shapes.append(g.shape) or pull(g, x)
+        backward(tape, gbar, acc)
+        grads.append(acc.finalize())
+        pulls.append(shapes)
+    assert rel_diff(*grads) <= RTOL
+    assert pulls[0] == [(r_count * frames, spec.num_vertices)] * 2 * ITERS
+    assert len(pulls[1]) == 2 * ITERS * r_count
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=grid_id)

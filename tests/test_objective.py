@@ -286,6 +286,20 @@ def test_unassemblable_log_weights_give_an_infinite_value(big):
     assert grad.shape == x.shape and np.isnan(grad).all()
 
 
+def test_overflowing_regularizer_gives_an_infinite_value():
+    """A weight that assembles but overflows reg_constant makes the total
+    +inf, not 0 * inf = NaN, even under lambda_c = 0, and warns of nothing;
+    the parts stay as computed."""
+    spec = GridSpec((3, 3))
+    obj = Objective(spec, (small_sequence(spec, 3),), 0.012, 20, 5)
+    assert obj.lambda_c == 0.0
+    x = np.zeros(edge_count(spec))
+    x[0] = 500.0
+    value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
+    assert value == np.inf and np.isnan(grad).all()
+    assert np.isfinite(parts.data_fit) and parts.reg_constant == np.inf
+
+
 # --- sequence files ---------------------------------------------------------
 
 

@@ -284,6 +284,14 @@ def test_pgm_header_and_range(tmp_path):
     assert pix[0, 1] == round(0.5 * 65535)
 
 
+def test_pgm_range_wider_than_float64(tmp_path):
+    """A finite tensor whose max - min overflows still spans the full range."""
+    p = tmp_path / "w.pgm"
+    export_pgm(np.array([[-1e308, 0.0], [1e308, 5.0]]), p)
+    pix = np.frombuffer(p.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
+    assert pix.tolist() == [0, 32768, 65535, 32768]
+
+
 def test_pgm_constant_input_all_zero(tmp_path):
     p = tmp_path / "c.pgm"
     export_pgm(np.full((3, 3), 7.0), p)
