@@ -24,17 +24,17 @@ interpolation between two histograms is the R=2 barycenter with weights
 (1-t, t), and a sequence's frames at times t_i are one call with rows
 (1-t_i, t_i).
 
-A recorded call keeps, per sweep, K v_r and K u_r of every input and frame
-and the targets b: arrays indexed [sweep, input, frame, vertex] and
-[sweep, frame, vertex], 8 L F N (2R + 1) bytes.  The backward pass replays
-the sweeps in reverse on the (R, F, N) arrays.  It rebuilds the scalings
-u_r = a_r / (K v_r) and v_r = b / (K u_r) bit for bit from the tape and
-pulls each half-sweep back as one (R F, N) block, through the K u_r and
-then the K v_r: two vector-Jacobian products (``pull``) per sweep, which
-return the input adjoints K g and add the weight gradient to the caller's
-accumulator (see ``otgrid.diffusion``), and one flush.  The tape holds
-arrays only, no operator: the caller that asked the operator for the
-accumulator finalizes it, once for any number of backward passes.
+A recorded call keeps, per sweep, K v_r and K u_r of every input and
+frame: arrays indexed [sweep, input, frame, vertex], 8 L F N 2R bytes.  The
+backward pass replays the sweeps in reverse on the (R, F, N) arrays.  It
+rebuilds the targets b and the scalings u_r = a_r / (K v_r) and
+v_r = b / (K u_r) bit for bit from the tape and pulls each half-sweep back
+as one (R F, N) block, through the K u_r and then the K v_r: two
+vector-Jacobian products (``pull``) per sweep, which return the input
+adjoints K g and add the weight gradient to the caller's accumulator (see
+``otgrid.diffusion``), and one flush.  The tape holds arrays only, no
+operator: the caller that asked the operator for the accumulator
+finalizes it, once for any number of backward passes.
 """
 
 from __future__ import annotations
@@ -92,21 +92,28 @@ class BarycenterTape:
 
     ``kv`` and ``ku`` are indexed [sweep, input, frame, vertex] and hold the
     guarded kernel applications K v_r and K u_r of the ``inputs`` a_r.  The
-    (F, R) weights ``lam`` and the v-targets ``b`` ([sweep, frame, vertex])
-    are what the backward pass needs on top, and stay None in a history of
-    two-marginal scalings.  The tape holds no operator: the backward pass
-    adds into an accumulator of the operator the tape was recorded with.
-    The scalings are not kept: u_r = a_r / Kv_r and v_r = b / Ku_r are
-    rebuilt from them bit for bit, and the solve states of an application,
-    on the solve path, by its pull.
+    (F, R) weights ``lam`` are what the backward pass needs on top, and stay
+    None in a history of two-marginal scalings.  The tape holds no operator:
+    the backward pass adds into an accumulator of the operator the tape was
+    recorded with.  The targets and scalings are not kept: each sweep's
+    v-target b is rebuilt from its K u_r and ``lam``, u_r = a_r / Kv_r and
+    v_r = b / Ku_r from them, all bit for bit, and the solve states of an
+    application, on the solve path, by its pull.
     """
 
     kv: np.ndarray
     ku: np.ndarray
     inputs: np.ndarray
     lam: np.ndarray | None = None
-    b: np.ndarray | None = None
     clamps: int = 0
+
+
+def _target(lam, ku) -> np.ndarray:
+    """The barycenter v-targets prod_r (K u_r)^{lambda_r}, (F, N), of the
+    (F, R) weights ``lam`` and the (R, F, N) ``ku``, in log space.  Both
+    passes build them here: a sum over axis 0 adds the inputs in order, so
+    the backward pass rebuilds the forward's targets bit for bit."""
+    return np.exp((lam.T[:, :, None] * np.log(ku)).sum(axis=0))
 
 
 def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=False):
@@ -129,7 +136,6 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
     # one row per sweep on the tape, else one row reused by every sweep
     kvs = np.empty((iters if record else 1, r_count, frames, n))
     kus = np.empty_like(kvs)
-    bs = np.empty((iters, frames, n)) if record and target is None else None
     b = target
     for l in range(iters):
         kv, ku = kvs[l % len(kvs)], kus[l % len(kus)]
@@ -140,10 +146,7 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
             u[r] = a[r] / kv[r]
             ku[r] = _guard(op.apply(u[r]), clamps)
         if target is None:
-            # a sum over axis 0 adds the inputs in order
-            b = np.exp((lam.T[:, :, None] * np.log(ku)).sum(axis=0))
-            if bs is not None:
-                bs[l] = b
+            b = _target(lam, ku)
         v = b / ku
     if clamps[0]:
         warnings.warn(
@@ -153,7 +156,7 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
         )
     tape = None
     if record:
-        tape = BarycenterTape(kvs, kus, a, None if lam is None else lam.copy(), bs, clamps[0])
+        tape = BarycenterTape(kvs, kus, a, None if lam is None else lam.copy(), clamps[0])
     return u, v, b, tape
 
 
@@ -185,9 +188,10 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     recorded with (``op.gradient_accumulator()``), which the caller
     finalizes once, after any number of backward passes.  The sweeps are
     replayed newest-first on (R, F, N) arrays, with the scalings rebuilt
-    from the tape.  Each half-sweep is one ``pull`` on the (R F, N) block
-    of all inputs and frames, which gives the input adjoints and adds the
-    weight gradient: two pulls per sweep, whatever R is, and one flush.
+    from the tape, and each sweep's v-target once, from its K u_r and the
+    weights.  Each half-sweep is one ``pull`` on the (R F, N) block of all
+    inputs and frames, which gives the input adjoints and adds the weight
+    gradient: two pulls per sweep, whatever R is, and one flush.
     The initial scalings v_r = 1 are constants, so their incoming gradient
     is dropped.
     """
@@ -196,17 +200,23 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     if gbar.size != frames * n:
         raise ValueError("need one gradient entry per barycenter entry")
     gbar = gbar.reshape(frames, n)
-    a, lam, kv, ku, b = tape.inputs[:, None], tape.lam.T[:, :, None], tape.kv, tape.ku, tape.b
+    a, lam, kv, ku = tape.inputs[:, None], tape.lam.T[:, :, None], tape.kv, tape.ku
     rows = (r_count * frames, n)
     gv = np.zeros((r_count, frames, n))
+    b = _target(tape.lam, ku[-1])
     for l in range(iters - 1, -1, -1):
         gb = (gv / ku[l]).sum(axis=0) + (gbar if l == iters - 1 else 0.0)
         u = a / kv[l]
-        v = b[l] / ku[l]
-        gq = lam * gb * b[l] / ku[l] - gv * v / ku[l]
+        v = b / ku[l]
+        gq = lam * gb * b / ku[l] - gv * v / ku[l]
         gu = acc.pull(gq.reshape(rows), u.reshape(rows)).reshape(gq.shape)
         gp = -gu * u / kv[l]
-        v_in = b[l - 1] / ku[l - 1] if l else np.ones_like(gp)
+        if l:
+            # the previous sweep's target, carried into the next step
+            b = _target(tape.lam, ku[l - 1])
+            v_in = b / ku[l - 1]
+        else:
+            v_in = np.ones_like(gp)
         gv = acc.pull(gp.reshape(rows), v_in.reshape(rows)).reshape(gp.shape)
         acc.flush()
 

@@ -140,10 +140,22 @@ def fill_nearest(tmap, defined) -> np.ndarray:
     if not defined.any():
         raise ValueError("no defined bins to fill from")
     out = np.array(tmap)
+    holes = np.argwhere(~defined).astype(np.int32)
+    if not len(holes):
+        return out
+    # A defined bin whose face neighbours in the grid are all defined is
+    # never the nearest: one step from it toward a hole lands on a defined
+    # bin strictly closer.  So only bins next to a hole are candidates.
+    padded = np.pad(defined, 1, constant_values=True)
+    edge = np.zeros_like(defined)
+    for axis in range(defined.ndim):
+        for shift in (0, 2):
+            window = [slice(1, -1)] * defined.ndim
+            window[axis] = slice(shift, shift + defined.shape[axis])
+            edge |= ~padded[tuple(window)]
     # column-major candidate order, so that argmin breaks distance ties the
     # way the feature transform does
-    src = np.argwhere(defined.T)[:, ::-1].astype(np.int32)
-    holes = np.argwhere(~defined).astype(np.int32)
+    src = np.argwhere((defined & edge).T)[:, ::-1].astype(np.int32)
     step = max(1, _FILL_BLOCK // len(src))
     for start in range(0, len(holes), step):
         h = holes[start:start + step]

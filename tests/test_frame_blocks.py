@@ -6,9 +6,11 @@ such call per sequence.  The reference is the per-frame path: one call
 with a 1-D weight vector per frame, and, for the objective, one recorded
 barycenter and one backward pass per frame into a shared accumulator.
 The backward pass pulls each half-sweep back as one (R F, N) block; its
-reference is the per-input replay, one pull per input and half-sweep.
-All are checked at 1e-13 on the dense path (20x20) and on the solve path
-(6x5x4 with ``DENSE_MAX`` patched to 0).
+reference is the per-input replay, one pull per input and half-sweep.  It
+rebuilds each sweep's v-target from the tape, and the rebuilt targets are
+the barycenters of the shorter runs bit for bit.  All are checked on the
+dense path (20x20) and on the solve path (6x5x4 with ``DENSE_MAX`` patched
+to 0), the gradients and rows at 1e-13.
 """
 
 import warnings
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from otgrid import diffusion
-from otgrid.barycenter import DegeneracyWarning, barycenter, barycenter_backward
+from otgrid.barycenter import DegeneracyWarning, _target, barycenter, barycenter_backward
 from otgrid.diffusion import assemble
 from otgrid.grids import GridSpec, edge_count
 from otgrid.objective import Objective, evaluate_with_grad, loss
@@ -100,7 +102,8 @@ def per_input_backward(tape, gbar, acc):
     per sweep: the reference for the stacked one."""
     iters, r_count, frames, n = tape.kv.shape
     gbar = np.asarray(gbar, dtype=np.float64).reshape(frames, n)
-    a, lam, kv, ku, b = tape.inputs, tape.lam, tape.kv, tape.ku, tape.b
+    a, lam, kv, ku = tape.inputs, tape.lam, tape.kv, tape.ku
+    b = [_target(lam, ku[l]) for l in range(iters)]
     ones = np.ones((frames, n))
     gv = np.zeros((r_count, frames, n))
     for l in range(iters - 1, -1, -1):
@@ -143,6 +146,21 @@ def test_stacked_backward_matches_per_input_pulls(spec, r_count, frames):
     assert len(pulls[1]) == 2 * ITERS * r_count
 
 
+@pytest.mark.parametrize("frames", [1, 4])
+@pytest.mark.parametrize("r_count", [2, 3])
+def test_rebuilt_targets_are_the_shorter_barycenters(spec, r_count, frames):
+    """The target the backward pass rebuilds from sweep l - 1 of the tape is
+    exactly what an l-sweep barycenter returns, for every l up to ITERS."""
+    op = operator(spec)
+    rng = np.random.default_rng(10)
+    h = rng.uniform(0.05, 1.0, (r_count, spec.num_vertices))
+    h /= h.sum(axis=1, keepdims=True)
+    lam = weight_rows(frames, r_count, 11)
+    _, tape = barycenter(op, h, lam, ITERS, record=True)
+    for l in range(1, ITERS + 1):
+        assert np.array_equal(_target(tape.lam, tape.ku[l - 1]), barycenter(op, h, lam, l)[0])
+
+
 @pytest.mark.parametrize("dims", GRIDS, ids=grid_id)
 def test_block_clamps_are_the_sum_over_frames(dims):
     """At an epsilon where the kernel underflows, a block call clamps as
@@ -161,16 +179,16 @@ def test_block_clamps_are_the_sum_over_frames(dims):
 
 
 @pytest.mark.parametrize("frames", [1, 4])
-def test_tape_holds_only_the_kernel_applications_and_targets(spec, frames):
-    """Per sweep the tape keeps K v_r and K u_r of every input and frame and
-    the F targets: 8 iters F N (2R + 1) bytes.  The scalings and solve
-    states are rebuilt, so this is the same on both paths."""
+def test_tape_holds_only_the_kernel_applications(spec, frames):
+    """Per sweep the tape keeps K v_r and K u_r of every input and frame:
+    8 iters F N 2R bytes.  The targets, scalings and solve states are
+    rebuilt, so this is the same on both paths."""
     op = operator(spec)
     r_count, n = 2, spec.num_vertices
     _, tape = barycenter(op, corner_diracs(spec), weight_rows(frames, r_count, 6), ITERS,
                          record=True)
-    sweeps = [tape.kv, tape.ku, tape.b]
-    assert sum(x.nbytes for x in sweeps) == 8 * ITERS * frames * n * (2 * r_count + 1)
+    sweeps = [tape.kv, tape.ku]
+    assert sum(x.nbytes for x in sweeps) == 8 * ITERS * frames * n * 2 * r_count
     arrays = [x for x in vars(tape).values() if isinstance(x, np.ndarray)]
     others = [x for x in arrays if not any(x is y for y in sweeps)]
     # besides them, only the inputs and the weights

@@ -42,6 +42,22 @@ def test_fill_nearest_matches_feature_transform(n, density):
                                       _oracle_fill(tmap, defined))
 
 
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("mask", ["ellipsoid", "shell"])
+def test_fill_nearest_matches_feature_transform_on_solid_masks(mask, n):
+    """Masks with many defined bins away from any hole: a solid ellipsoid
+    and a spherical shell, centred off the grid's middle so that neither
+    is symmetric."""
+    c = (np.arange(n) + 0.5) / n
+    x, y, z = np.meshgrid(c - 0.45, c - 0.55, c - 0.5, indexing="ij")
+    if mask == "ellipsoid":
+        defined = (x / 0.4) ** 2 + (y / 0.3) ** 2 + (z / 0.35) ** 2 <= 1.0
+    else:
+        defined = np.abs(np.sqrt(x**2 + y**2 + z**2) - 0.3) <= 0.1
+    tmap = np.arange(n**3 * 3, dtype=np.float64).reshape(n, n, n, 3)
+    np.testing.assert_array_equal(fill_nearest(tmap, defined), _oracle_fill(tmap, defined))
+
+
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_fill_nearest_single_bin_masks(n):
     rng = np.random.default_rng(n)
