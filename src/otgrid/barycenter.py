@@ -39,6 +39,7 @@ finalizes it, once for any number of backward passes.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -126,7 +127,8 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
     of the (F, R) ``lam``.  With ``record`` set, every sweep is written into
     the rows of the returned tape, else ``tape`` is None.  Denominators
     below 1e-300 are clamped and reported once, as a DegeneracyWarning at
-    the caller of the public function that called this one.
+    the first caller outside this module: the public functions call one
+    another (``interpolate`` calls ``barycenter``).
     """
     r_count, n = a.shape
     frames = 1 if lam is None else len(lam)
@@ -149,11 +151,11 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
             b = _target(lam, ku)
         v = b / ku
     if clamps[0]:
-        warnings.warn(
-            "Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
-            DegeneracyWarning,
-            stacklevel=3,
-        )
+        frame, level = sys._getframe(1), 2  # up to the first frame outside this module
+        while frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
+        warnings.warn("Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
+                      DegeneracyWarning, stacklevel=level)
     tape = None
     if record:
         tape = BarycenterTape(kvs, kus, a, None if lam is None else lam.copy(), clamps[0])

@@ -11,10 +11,14 @@ problem.  argparse's own usage failures also exit with 2.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import color as colorlib
 from . import tensorio
@@ -244,7 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _pin_blas_threads():
+    """Run numpy's and scipy's bundled OpenBLAS on one thread: OpenBLAS splits
+    a product's sums by thread, so the bytes of a result would otherwise
+    depend on OPENBLAS_NUM_THREADS, or on the machine's cores when unset."""
+    for pkg, setter in ((np, "scipy_openblas_set_num_threads64_"),
+                        (scipy, "scipy_openblas_set_num_threads")):
+        # the wheel's libraries sit beside the package, in numpy.libs or scipy.libs
+        for path in glob.glob(pkg.__path__[0] + ".libs/libscipy_openblas*.so"):
+            set_threads = getattr(ctypes.CDLL(path), setter)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -105,10 +105,9 @@ DENSE_MAX = 1024
 _KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # Rows of A updated per matrix product when a batch of pulls is flushed.
 # numpy's BLAS does these products, as it does the applications of K.
-# scipy's dgemm could add into A in place, but a second BLAS, with its own
-# thread pool, in the loop made one desk evaluation take 0.58-0.62 s
-# instead of 0.27-0.30 s under the default BLAS threads of a shared 2-core
-# box; on one thread the two took the same time.
+# scipy's dgemm could add into A in place, with no panel, but on one BLAS
+# thread (as the CLI runs) it was no faster, and it would put a second
+# BLAS in the loop.
 _PANEL = 64
 
 

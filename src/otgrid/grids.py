@@ -143,13 +143,9 @@ def parallel_difference(spec: GridSpec, w: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(f)
         deg = np.zeros_like(f)
         for ax in range(f.ndim):
-            if f.shape[ax] < 2:
-                continue
-            lo = [slice(None)] * f.ndim
-            hi = [slice(None)] * f.ndim
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            lo, hi = tuple(lo), tuple(hi)
+            # the two ends of each neighbor pair along ax (none if f is one wide)
+            lo = (slice(None),) * ax + (slice(0, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
             acc[lo] += f[hi]
             acc[hi] += f[lo]
             deg[lo] += 1.0

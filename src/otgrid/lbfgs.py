@@ -3,7 +3,8 @@
 Plain two-loop recursion over the (s, y) history from H0 = gamma I, with
 gamma = s.y / y.y of the newest pair (1 while none is stored), and Armijo
 backtracking.  A pair with s.y <= 1e-12 ||s|| ||y|| clears the history, so
-the implicit inverse Hessian stays positive definite.
+the implicit inverse Hessian stays positive definite.  The checks of the
+settings are written so that NaN fails every one of them.
 """
 
 from __future__ import annotations
@@ -20,25 +21,15 @@ STATUS_LINE_SEARCH_FAILED = "line_search_failed"
 
 
 @dataclass(frozen=True)
-class LbfgsOptions:
-    """Settings of ``minimize``; a run config's ``lbfgs`` block sets them by name."""
+class LineSearch:
+    """Armijo backtracking; the ``line_search`` block of ``lbfgs`` sets it by name."""
 
-    memory: int = 10
-    max_iters: int = 500
-    grad_tol: float = 1e-7  # on the max-norm of the gradient
     armijo: float = 1e-4
     shrink: float = 0.5
     max_trials: int = 40  # objective evaluations per line search
     init_step: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.memory >= 1:
-            raise ValueError("memory must be >= 1")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be > 0")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo must be in (0, 1)")
         if not 0 < self.shrink < 1:
@@ -47,6 +38,24 @@ class LbfgsOptions:
             raise ValueError("max_trials must be >= 1")
         if not self.init_step > 0:
             raise ValueError("init_step must be > 0")
+
+
+@dataclass(frozen=True)
+class LbfgsOptions:
+    """Settings of ``minimize``; a run config's ``lbfgs`` block sets them by name."""
+
+    memory: int = 10
+    max_iters: int = 500
+    grad_tol: float = 1e-7  # on the max-norm of the gradient
+    line_search: LineSearch = field(default_factory=LineSearch)
+
+    def __post_init__(self):
+        if not self.memory >= 1:
+            raise ValueError("memory must be >= 1")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -123,14 +132,14 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
             d = -g
             gd = g @ d
 
-        step = opts.init_step
-        for _ in range(opts.max_trials):
+        step = opts.line_search.init_step
+        for _ in range(opts.line_search.max_trials):
             xn = x + step * d
             fn, gn = _evaluate(f, xn, "iteration %d" % it)
             evals += 1
-            if fn <= fx + opts.armijo * step * gd:
+            if fn <= fx + opts.line_search.armijo * step * gd:
                 break
-            step *= opts.shrink
+            step *= opts.line_search.shrink
         else:
             status = STATUS_LINE_SEARCH_FAILED
             break

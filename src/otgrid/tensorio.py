@@ -98,13 +98,10 @@ def read_tensor(path) -> np.ndarray:
 # Every JSON input (the run config, a gen pattern, a sequence manifest) is
 # read by ``parse_object`` into a dataclass: the keys are its field names,
 # the defaults its field defaults, and each value is cast by its field's
-# type.  LbfgsOptions is flat, but in a run config its line-search fields
-# sit one level further down, under "lbfgs.line_search".  A key that an
-# object's text repeats is rejected too: ``read_json`` notes it, since a
-# dict keeps only its last value.
+# type.  A key that an object's text repeats is rejected too: ``read_json``
+# notes it, since a dict keeps only its last value.
 
 LOSS_KINDS = ("l1", "l2", "kl")
-_GROUPS = {LbfgsOptions: {"line_search": ("armijo", "shrink", "max_trials", "init_step")}}
 
 
 def _need(cond, msg):
@@ -158,29 +155,13 @@ def _path(key, name):
 
 class _JsonObject(dict):
     """A JSON object as ``read_json`` gives it: a dict that lists the keys
-    the text repeats, which the dict keeps only the last value of."""
+    the text repeats, if any, which the dict keeps only the last value of."""
 
-    repeated = ()
-
-
-def _json_object(pairs) -> _JsonObject:
-    doc = _JsonObject(pairs)
-    if len(doc) < len(pairs):
-        names = [k for k, _ in pairs]
-        doc.repeated = sorted({k for k in names if names.count(k) > 1})
-    return doc
-
-
-def _object(doc, key, names) -> dict:
-    """Check that ``doc`` is a JSON object whose keys all lie in ``names``
-    and that its text names each of them once."""
-    _need(isinstance(doc, dict),
-          "%s must be an object, got %s" % (key or "the root", json.dumps(doc)))
-    repeated = getattr(doc, "repeated", ())
-    _need(not repeated, "repeated keys: %s" % ", ".join(_path(key, k) for k in repeated))
-    unknown = sorted(set(doc) - set(names))
-    _need(not unknown, "unknown keys: %s" % ", ".join(_path(key, k) for k in unknown))
-    return doc
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            names = [k for k, _ in pairs]
+            self.repeated = sorted({k for k in names if names.count(k) > 1})
 
 
 def _scalar(kind, value, key):
@@ -230,16 +211,13 @@ def parse_object(cls, doc, key=""):
     each a ConfigError that names its key path.
     """
     hints = get_type_hints(cls)
-    groups = _GROUPS.get(cls, {})
-    grouped = {name for names in groups.values() for name in names}
-    values = {}
-    for name, value in _object(doc, key, hints.keys() - grouped | groups.keys()).items():
-        if name in groups:
-            sub = _path(key, name)
-            for inner, v in _object(value, sub, groups[name]).items():
-                values[inner] = _cast(hints[inner], v, _path(sub, inner))
-        else:
-            values[name] = _cast(hints[name], value, _path(key, name))
+    _need(isinstance(doc, dict),
+          "%s must be an object, got %s" % (key or "the root", json.dumps(doc)))
+    repeated = getattr(doc, "repeated", ())
+    _need(not repeated, "repeated keys: %s" % ", ".join(_path(key, k) for k in repeated))
+    unknown = sorted(doc.keys() - hints.keys())
+    _need(not unknown, "unknown keys: %s" % ", ".join(_path(key, k) for k in unknown))
+    values = {name: _cast(hints[name], value, _path(key, name)) for name, value in doc.items()}
     for f in fields(cls):
         _need(f.name in values or f.default is not MISSING or f.default_factory is not MISSING,
               "missing required key %s" % _path(key, f.name))
@@ -249,23 +227,18 @@ def parse_object(cls, doc, key=""):
         raise ConfigError("%s: %s" % (key, exc) if key else str(exc)) from exc
 
 
-def parse_config(doc: dict) -> RunConfig:
-    """Validate a JSON-shaped dict and fill in defaults."""
-    return parse_object(RunConfig, doc)
-
-
 def read_json(path):
     """The JSON document in ``path``; malformed JSON is a ConfigError naming the file.
     Its objects remember repeated keys, which ``parse_object`` rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_json_object)
+            return json.load(fh, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as exc:
             raise ConfigError("%s: %s" % (path, exc)) from exc
 
 
 def read_config(path) -> RunConfig:
-    return parse_config(read_json(path))
+    return parse_object(RunConfig, read_json(path))
 
 
 # --- exports ------------------------------------------------------------

@@ -388,3 +388,32 @@ def test_ac10_determinism(desk_case, tmp_path):
     v4, g4 = evaluate_with_grad(obj, wlog, threads=4)
     assert v1 == v4
     assert np.array_equal(g1, g4)
+
+
+def test_ac10_learn_bytes_do_not_depend_on_blas_threads(desk_case, tmp_path):
+    """``otgrid learn`` pins BLAS to one thread itself: the 15-iteration desk
+    fit writes the same weight bytes in processes started under
+    OPENBLAS_NUM_THREADS=1, =2 and with no thread variable set."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    spec, _, seq, _ = desk_case
+    cfg = tmp_path / "c20.json"
+    cfg.write_text(json.dumps({"d": 2, "n": 20, "epsilon": 1.2e-2, "substeps": 20,
+                               "sinkhorn_iters": 30, "frames": 7, "loss": "l2",
+                               "lambda_c": 0.0, "lambda_s": 0.03,
+                               "lbfgs": {"max_iters": 15}}))
+    save_sequence(tmp_path / "seq", spec, seq)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    weights = {}
+    for threads in ("1", "2", None):
+        env = dict(base, OPENBLAS_NUM_THREADS=threads) if threads else base
+        out = tmp_path / ("w%s" % threads)
+        subprocess.run([sys.executable, "-m", "otgrid.cli", "learn", "--config", str(cfg),
+                        "--sequence", str(tmp_path / "seq"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        weights[threads] = [(out / ("weights_axis%d.gmlt" % a)).read_bytes() for a in (0, 1)]
+    assert weights["1"] == weights["2"] == weights[None]

@@ -132,7 +132,8 @@ def test_barycenter_input_validation():
 @pytest.mark.parametrize("run", [
     lambda op, a, b: barycenter(op, np.stack([a, b]), np.array([0.5, 0.5]), 3)[0],
     lambda op, a, b: sinkhorn_scalings(op, a, b, 3)[1],
-], ids=["barycenter", "sinkhorn_scalings"])
+    lambda op, a, b: interpolate(op, a, b, 0.5, 3),
+], ids=["barycenter", "sinkhorn_scalings", "interpolate"])
 def test_degenerate_denominators_warn_once_and_stay_finite(run):
     spec = GridSpec((30, 30))
     op = assemble(spec, constant_weights(spec), 1e-8, 1)

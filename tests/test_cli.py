@@ -405,9 +405,11 @@ def test_learn_passes_config_lbfgs_settings_to_minimize(workspace, monkeypatch):
                 "--out", root / "o"]) == 0
     (opts,) = seen
     defaults = LbfgsOptions()
-    for key, value in {**settings, **line_search}.items():
-        assert value != getattr(defaults, key), key
-        assert getattr(opts, key) == value, key
+    for block, got, default in ((settings, opts, defaults),
+                                (line_search, opts.line_search, defaults.line_search)):
+        for key, value in block.items():
+            assert value != getattr(default, key), key
+            assert getattr(got, key) == value, key
 
 
 def test_corrupt_tensor_is_format_error(tmp_path):

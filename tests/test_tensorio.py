@@ -12,10 +12,11 @@ from hypothesis.extra import numpy as hnp
 from otgrid import tensorio
 from otgrid.tensorio import (
     ConfigError,
+    RunConfig,
     TensorFormatError,
     export_csv,
     export_pgm,
-    parse_config,
+    parse_object,
     read_config,
     read_tensor,
     write_tensor,
@@ -120,7 +121,7 @@ def minimal_doc():
 
 
 def test_minimal_config_defaults():
-    cfg = parse_config(minimal_doc())
+    cfg = parse_object(RunConfig, minimal_doc())
     assert cfg.frames == 10
     assert cfg.loss == "l2"
     assert cfg.lambda_c == 0.0
@@ -129,9 +130,9 @@ def test_minimal_config_defaults():
     assert cfg.lbfgs.max_iters == 500
     assert cfg.lbfgs.memory == 10
     assert cfg.lbfgs.grad_tol == 1e-7
-    assert cfg.lbfgs.armijo == 1e-4
-    assert cfg.lbfgs.shrink == 0.5
-    assert cfg.lbfgs.max_trials == 40
+    assert cfg.lbfgs.line_search.armijo == 1e-4
+    assert cfg.lbfgs.line_search.shrink == 0.5
+    assert cfg.lbfgs.line_search.max_trials == 40
     assert cfg.init.mode == "constant"
 
 
@@ -139,14 +140,14 @@ def test_unknown_key_rejected():
     doc = minimal_doc()
     doc["episolon"] = 0.5
     with pytest.raises(ConfigError):
-        parse_config(doc)
+        parse_object(RunConfig, doc)
 
 
 def test_unknown_nested_key_rejected():
     doc = minimal_doc()
     doc["lbfgs"] = {"memroy": 5}
     with pytest.raises(ConfigError):
-        parse_config(doc)
+        parse_object(RunConfig, doc)
 
 
 @pytest.mark.parametrize("key", ["d", "n", "epsilon", "substeps", "sinkhorn_iters"])
@@ -154,7 +155,7 @@ def test_missing_required_key_rejected(key):
     doc = minimal_doc()
     del doc[key]
     with pytest.raises(ConfigError):
-        parse_config(doc)
+        parse_object(RunConfig, doc)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +202,14 @@ def test_invalid_values_rejected(patch):
     doc = minimal_doc()
     doc.update(patch)
     with pytest.raises(ConfigError):
-        parse_config(doc)
+        parse_object(RunConfig, doc)
+
+
+def test_line_search_error_names_its_block():
+    doc = minimal_doc()
+    doc["lbfgs"] = {"line_search": {"shrink": 1.0}}
+    with pytest.raises(ConfigError, match=r"^lbfgs\.line_search: shrink must be in \(0, 1\)$"):
+        parse_object(RunConfig, doc)
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
@@ -229,7 +237,7 @@ def test_repeated_json_key_names_its_path(tmp_path, tail, key):
 def test_whole_float_accepted_for_int_field():
     doc = minimal_doc()
     doc.update(n=8.0, sinkhorn_iters=3.0)
-    cfg = parse_config(doc)
+    cfg = parse_object(RunConfig, doc)
     assert (cfg.n, cfg.sinkhorn_iters) == (8, 3)
     assert type(cfg.n) is int
 
@@ -239,10 +247,10 @@ def test_nested_overrides_applied():
     doc["lbfgs"] = {"max_iters": 33, "line_search": {"max_trials": 7}}
     doc["init"] = {"mode": "log_uniform", "low": 0.1, "high": 10.0}
     doc["loss"] = "kl"
-    cfg = parse_config(doc)
+    cfg = parse_object(RunConfig, doc)
     assert cfg.lbfgs.max_iters == 33
-    assert cfg.lbfgs.max_trials == 7
-    assert cfg.lbfgs.shrink == 0.5  # untouched default
+    assert cfg.lbfgs.line_search.max_trials == 7
+    assert cfg.lbfgs.line_search.shrink == 0.5  # untouched default
     assert cfg.init.mode == "log_uniform"
     assert cfg.loss == "kl"
 
