@@ -32,7 +32,7 @@ v_r = b / (K u_r) bit for bit from the tape and pulls each half-sweep back
 as one (R F, N) block, through the K u_r and then the K v_r: two
 vector-Jacobian products (``pull``) per sweep, which return the input
 adjoints K g and add the weight gradient to the caller's accumulator (see
-``otgrid.diffusion``), and one flush.  The tape holds arrays only, no
+``otgrid.diffusion``).  The tape holds arrays only, no
 operator: the caller that asked the operator for the accumulator
 finalizes it, once for any number of backward passes.
 """
@@ -193,7 +193,7 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     from the tape, and each sweep's v-target once, from its K u_r and the
     weights.  Each half-sweep is one ``pull`` on the (R F, N) block of all
     inputs and frames, which gives the input adjoints and adds the weight
-    gradient: two pulls per sweep, whatever R is, and one flush.
+    gradient: two pulls per sweep, whatever R is.
     The initial scalings v_r = 1 are constants, so their incoming gradient
     is dropped.
     """
@@ -220,7 +220,6 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
         else:
             v_in = np.ones_like(gp)
         gv = acc.pull(gp.reshape(rows), v_in.reshape(rows)).reshape(gp.shape)
-        acc.flush()
 
 
 def interpolate(op: DiffusionOperator, r0, r1, t: float, iters: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import functools
 import glob
 import os
 import sys
+import warnings
 
 import numpy as np
 import scipy
@@ -252,14 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _pin_blas_threads():
     """Run numpy's and scipy's bundled OpenBLAS on one thread: OpenBLAS splits
     a product's sums by thread, so the bytes of a result would otherwise
-    depend on OPENBLAS_NUM_THREADS, or on the machine's cores when unset."""
+    depend on OPENBLAS_NUM_THREADS, or on the machine's cores when unset.  A
+    package whose BLAS has no such setter (a build that does not bundle
+    scipy-openblas) is left as it is, with a warning that names it."""
     for pkg, setter in ((np, "scipy_openblas_set_num_threads64_"),
                         (scipy, "scipy_openblas_set_num_threads")):
+        pinned = False
         # the wheel's libraries sit beside the package, in numpy.libs or scipy.libs
         for path in glob.glob(pkg.__path__[0] + ".libs/libscipy_openblas*.so"):
-            set_threads = getattr(ctypes.CDLL(path), setter)
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
+            set_threads = getattr(ctypes.CDLL(path), setter, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                pinned = True
+        if not pinned:
+            warnings.warn("%s's BLAS thread count is not pinned (no bundled OpenBLAS with %s),"
+                          " so results may depend on it" % (pkg.__name__, setter))
 
 
 def main(argv=None) -> int:

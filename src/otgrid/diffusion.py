@@ -65,9 +65,8 @@ G_ii + G_jj - G_ij - G_ji of
 
 the adjoint of the Frechet derivative of X -> X^-S (Higham 2008,
 *Functions of Matrices*, ch. 3).  G is linear in A, so the weight gradient
-of any number of applications follows from their summed A.  The pulled g
-and x rows are kept until the batch ends (one backward sweep) and then
-added to A by one matrix product per panel of rows of A, with no N x N
+of any number of applications follows from their summed A.  Each pull
+adds its g^T x into A in place, by one BLAS gemm with no N x N
 temporary.  The edge form needs only G + G^T = X T(S) X, where X = Minv,
 A_s = A + A^T and T(m) = sum_{k<m} X^k A_s X^(m-1-k) is symmetric; T(S)
 is built by doubling over the bits of S, as a matrix power is:
@@ -85,6 +84,7 @@ runs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .grids import GridSpec, check_weights, edge_count, edge_vertices, field_sizes, field_slices
@@ -103,12 +103,6 @@ DENSE_MAX = 1024
 # rounding.  Only a K whose lower bound, from the entries of Minv, clears
 # it is formed.
 _KERNEL_FLOOR = DENSE_MAX * np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# Rows of A updated per matrix product when a batch of pulls is flushed.
-# numpy's BLAS does these products, as it does the applications of K.
-# scipy's dgemm could add into A in place, with no panel, but on one BLAS
-# thread (as the CLI runs) it was no faster, and it would put a second
-# BLAS in the loop.
-_PANEL = 64
 
 
 class AssemblyError(ValueError):
@@ -245,8 +239,7 @@ class DiffusionOperator:
 
         ``pull(g, x)`` returns K g for the application of K to x (any block
         of rows, one vector per row) with downstream gradient g, and adds
-        that application's weight gradient; ``flush()`` marks the end of a
-        batch of pulls (one backward sweep's); ``finalize()``, called once,
+        that application's weight gradient; ``finalize()``, called once,
         returns the summed per-edge gradient.  The first call forms the
         dense K where the operator allows one, so applications after it,
         the forward passes to be differentiated included, use it.
@@ -290,44 +283,31 @@ class _ChainGradient:
         self._dw += dw
         return kg
 
-    def flush(self):
-        pass
-
     def finalize(self) -> np.ndarray:
         return self._dw
 
 
 class _DenseGradient:
-    """Dense path: the (g, x) rows pulled since the last flush are added to
-    A = sum g x^T by one matrix product per panel of rows of A, and G(A) is
-    formed once in ``finalize``."""
+    """Dense path: each pull adds its g^T x into A = sum g x^T in place, and
+    G(A) is formed once in ``finalize``."""
 
     def __init__(self, op: DiffusionOperator):
         n = op.num_vertices
         self._op = op
         self._a = np.zeros((n, n))
-        self._g = []
-        self._x = []
-        # a panel of rows of the product, so that no N x N temporary is formed
-        self._w = np.empty((_PANEL, n))
 
     def pull(self, g, x):
-        self._g.append(g)
-        self._x.append(x)
-        return self._op.apply(g)
-
-    def flush(self):
-        if self._g:
-            gt, x = np.concatenate(self._g).T, np.concatenate(self._x)
-            self._g, self._x = [], []
-            for p in range(0, len(gt), _PANEL):
-                panel = gt[p:p + _PANEL]
-                w = self._w[:len(panel)]
-                np.matmul(panel, x, out=w)
-                self._a[p:p + _PANEL] += w
+        kg = self._op.apply(g)
+        g, x = np.asarray(g, dtype=np.float64), np.asarray(x, dtype=np.float64)
+        if x.shape != g.shape:
+            raise ValueError("input %r and gradient %r differ in shape" % (x.shape, g.shape))
+        # A^T += x^T g, written through A.T, the Fortran view of A: dgemm
+        # adds into c in place only when c is Fortran-contiguous (else it
+        # returns a copy), and x.T and g.T are Fortran views of the rows
+        dgemm(1.0, x.T, g.T, beta=1.0, c=self._a.T, trans_b=1, overwrite_c=1)
+        return kg
 
     def finalize(self) -> np.ndarray:
-        self.flush()
         # drop the operator, so that K is freed before the products unless
         # a caller still holds it
         op, self._op = self._op, None

@@ -482,3 +482,15 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("gen", "learn", "interp", "transfer", "export", "info"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("library", [None, object()], ids=["no-library", "no-setter"])
+def test_blas_pin_warns_where_it_cannot_pin(monkeypatch, library):
+    """A numpy or scipy without the bundled OpenBLAS at the expected path,
+    or one whose library lacks the thread setter, is named in a warning,
+    not skipped in silence or ended in a traceback."""
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [] if library is None else ["lib.so"])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: library)
+    with pytest.warns(UserWarning) as rec:
+        cli._pin_blas_threads.__wrapped__()
+    assert [str(w.message).split("'")[0] for w in rec] == ["numpy", "scipy"]

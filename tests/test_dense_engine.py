@@ -121,6 +121,28 @@ def test_dense_engine_matches_lu_tape_path(case, monkeypatch):
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=lambda d: "x".join(map(str, d)))
+def test_pulls_add_up_in_one_accumulator(dims, monkeypatch):
+    """Two pulls of a block's rows into one accumulator give the weight
+    gradient of one pull of the stacked rows, and the dense one is the
+    solve path's: each dense pull adds into A itself, not into a copy."""
+    spec = GridSpec(dims)
+    n = spec.num_vertices
+    dense, lu = both_paths(monkeypatch, spec, random_weights(spec, 2), 1.2e-2, 20)
+    rng = np.random.default_rng(5)
+    g, x = rng.normal(size=(6, n)), rng.uniform(0.05, 1.0, (6, n))
+    grads = []
+    for op in (dense, lu):
+        split, stacked = op.gradient_accumulator(), op.gradient_accumulator()
+        for rows in (slice(0, 2), slice(2, 6)):
+            assert np.array_equal(split.pull(g[rows], x[rows]), op.apply(g[rows]))
+        stacked.pull(g, x)
+        grads += [split.finalize(), stacked.finalize()]
+    assert rel_diff(grads[0], grads[1]) <= RTOL
+    assert rel_diff(grads[2], grads[3]) <= RTOL
+    assert rel_diff(grads[1], grads[3]) <= RTOL
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=lambda d: "x".join(map(str, d)))
 def test_underflowing_kernel_falls_back_to_the_solves(dims):
     """At an epsilon where the kernel underflows, a dense K would have lost
     the entries that the solves keep (on the 20x20 grid it gave 192 clamps

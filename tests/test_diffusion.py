@@ -150,13 +150,24 @@ def test_adjoint_weights_matches_finite_differences():
         assert adj[e] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
-def test_adjoint_weights_rejects_mismatched_shapes():
+def test_adjoint_weights_rejects_mismatched_shapes(monkeypatch):
+    """An input and a gradient of different shapes fail at the call, and at
+    the pull of either path's accumulator (the gradient, its first argument,
+    is a valid kernel input here)."""
     spec = GridSpec((3, 3))
     op = assemble(spec, constant_weights(spec), 1e-2, 3)
+    with monkeypatch.context() as m:
+        m.setattr(diffusion, "DENSE_MAX", 0)
+        solves = assemble(spec, constant_weights(spec), 1e-2, 3)
+    accs = [op.gradient_accumulator(), solves.gradient_accumulator()]
+    assert op.kernel is not None and solves.kernel is None
     for x, g in ((np.ones(9), np.ones((1, 9))), (np.ones((2, 9)), np.ones((3, 9))),
                  (np.ones((2, 9)), np.ones((9, 2)))):
         with pytest.raises(ValueError, match="differ in shape"):
             op.adjoint_weights(x, g)
+        for acc in accs:
+            with pytest.raises(ValueError, match="differ in shape"):
+                acc.pull(x, g)
 
 
 def test_apply_rejects_non_finite():

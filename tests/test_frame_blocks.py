@@ -118,7 +118,6 @@ def per_input_backward(tape, gbar, acc):
             gp = -gu * u / kv[l, r]
             v_in = b[l - 1] / ku[l - 1, r] if l else ones
             gv[r] = acc.pull(gp, v_in)
-        acc.flush()
 
 
 @pytest.mark.parametrize("frames", [1, 4])
