@@ -4,17 +4,26 @@ The kernel is K = M^{-S} for M = Id - (eps/4S) * sum_a L_a(w) / h_a^2,
 where L_a is the axis-a part of the weighted graph Laplacian and
 h_a = 1/(n_a - 1) is the mesh size of a grid discretizing [0,1]^d.  One
 application of K means S successive solves against a factorization of M
-computed once at assembly.  M is symmetric positive definite and, with
-vertices in row-major order, banded: its widest coupling is along axis 0,
-prod(dims[1:]) vertices apart.  Assembly writes M straight into LAPACK's
-upper band storage from the edge list of ``grids.edge_vertices``: the
-axis-a edge (i, j), i < j, puts -(eps/4S) w_e / h_a^2 at M[i, j] and adds
-as much to the diagonal entries of i and j, which start at 1.  No sparse M
-is formed (``grids.build_laplacian`` gives the same M to tests).  M is
-factored once by LAPACK's banded Cholesky (dpbtrf), and every solve, of a
-vector or of a column block, is one dpbtrs call against that factor.  M
-has unit row sums, so K is stochastic (K 1 = 1) and, being symmetric,
-mass-preserving.
+computed once at assembly.  M is symmetric positive definite and banded,
+and its band is factored in the narrower of two vertex orders, both fixed
+by the grid's shape.  In row-major order the widest coupling is along
+axis 0, prod(dims[1:]) vertices apart.  Sorting the vertices by coordinate
+sum, row-major within a sum, numbers them by level sets from a corner, as
+Cuthill & McKee (1969) do; an edge joins consecutive levels, so the band
+spans at most two of them, floor(3n^2/4 + n/2) at an n^3 cube, the grid
+graph's bandwidth (FitzGerald 1974), against n^2.  Row-major order wins
+ties, so square 2-D grids, and those whose first axis is the longest,
+keep it.  Assembly writes M straight into LAPACK's upper band storage
+from the edge list of ``grids.edge_vertices``, relabelled by position in
+the chosen order: the axis-a edge (i, j), i < j, puts -(eps/4S) w_e / h_a^2
+at M[i, j] and adds as much to the diagonal entries of i and j, which
+start at 1.  No sparse M is formed (``grids.build_laplacian`` gives the
+same M to tests).  M is factored once by LAPACK's banded Cholesky
+(dpbtrf), and every solve, of a vector or of a column block, is one
+dpbtrs call against that factor; on a reordered grid the right-hand side
+is gathered into the factor's order and the result scattered back, so
+every other vector the operator sees is in grid order.  M has unit row
+sums, so K is stochastic (K 1 = 1) and, being symmetric, mass-preserving.
 
 K approximates the lattice heat kernel exp(t' L) at the diffusion time
 t' = eps (n-1)^2 / 4 in cell units (unit weights, n vertices per axis).
@@ -123,6 +132,26 @@ def _kernel_input(x, n: int) -> np.ndarray:
     return x
 
 
+def _band_order(spec: GridSpec, i: np.ndarray, j: np.ndarray):
+    """The narrower band of M's two vertex orders: ``(perm, ri, rj, kd)``.
+
+    ``perm`` is None for row-major order, else the vertices sorted by
+    coordinate sum, row-major within a sum; ``ri`` and ``rj`` are the
+    positions of the edge ends ``i`` and ``j`` in that order, and ``kd`` is
+    the band's height above the diagonal, the widest gap over the edges.
+    Row-major order wins ties.
+    """
+    rowmajor_kd = spec.num_vertices // spec.dims[0]
+    perm = np.argsort(np.indices(spec.dims).sum(axis=0), axis=None, kind="stable")
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(perm.size)
+    ri, rj = rank[i], rank[j]
+    kd = int((rj - ri).max())
+    if kd < rowmajor_kd:
+        return perm, ri, rj, kd
+    return None, i, j, rowmajor_kd
+
+
 class DiffusionOperator:
     """The banded Cholesky factor of M, and kernel and adjoint applications.
 
@@ -150,19 +179,20 @@ class DiffusionOperator:
         # 1 / h_a^2 = (n_a - 1)^2 of each edge's axis
         inv_h2 = np.repeat([float((n_a - 1) ** 2) for n_a in spec.dims], field_sizes(spec))
         self._coeff = self.c * inv_h2
+        # the edge ends' positions ri < rj in the factor's vertex order
+        self._perm, ri, rj, kd = _band_order(spec, i, j)
         # an entry that overflows fails the finiteness check below
         with np.errstate(over="ignore"):
             scaled = w * inv_h2
-            # M = Id - c L(scaled) in upper band storage: M[i, j] at band[kd + i - j, j]
-            kd = n // spec.dims[0]
+            # M = Id - c L(scaled) in upper band storage: M[ri, rj] at band[kd + ri - rj, rj]
             band = np.zeros((kd + 1, n), order="F")
-            band[kd + i - j, j] = -self.c * scaled
+            band[kd + ri - rj, rj] = -self.c * scaled
             # degrees summed axis by axis; a vertex is the lower end of at most
             # one edge per axis, and the upper end of at most one
             deg = np.zeros(n)
             for sl in field_slices(spec):
-                deg[i[sl]] += scaled[sl]
-                deg[j[sl]] += scaled[sl]
+                deg[ri[sl]] += scaled[sl]
+                deg[rj[sl]] += scaled[sl]
             band[kd] = 1.0 + self.c * deg
         # LAPACK's Cholesky passes NaN and inf through without complaint; the
         # diagonal entry bounds its row
@@ -181,12 +211,23 @@ class DiffusionOperator:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """One backward-Euler substep: solve M x = b for a vector or an
-        (N, k) block, by the banded Cholesky factor; ``b`` is not changed.
-        ValueError unless ``b`` has N rows, or where LAPACK rejects it."""
+        (N, k) block in grid order, by the banded Cholesky factor; ``b`` is
+        not changed.  On a grid factored in coordinate-sum order, one
+        dpbtrs call solves a Fortran copy of ``b`` gathered into that order
+        in place, and its result is scattered back.  ValueError unless
+        ``b`` has N rows, or where LAPACK rejects it."""
         if np.shape(b)[:1] != (self.num_vertices,):
             raise ValueError("solve needs N = %d rows, got shape %r"
                              % (self.num_vertices, np.shape(b)))
-        x, info = dpbtrs(self._cholesky, b)
+        perm = self._perm
+        if perm is None:
+            x, info = dpbtrs(self._cholesky, b)
+        else:
+            bp = np.take(np.asarray(b, dtype=np.float64), perm, axis=0,
+                         out=np.empty(np.shape(b), order="F"))
+            xp, info = dpbtrs(self._cholesky, bp, overwrite_b=1)
+            x = np.empty_like(xp)
+            x[perm] = xp
         if info != 0:
             raise ValueError("banded solve of a %r block failed: LAPACK info %d"
                              % (np.shape(b), info))

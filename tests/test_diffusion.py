@@ -247,9 +247,10 @@ def test_assembly_rejects_non_finite_matrix(dims, bad):
 
 # Equivalence gate for the banded Cholesky factorization: a sparse LU of the
 # same M, built here from the sparse Laplacian, is the reference.  Grids
-# include both axis orders of a rectangle (bandwidth 7 against 2) and 16^3,
-# bandwidth 256.
-EQUIVALENCE_GRIDS = [(9,), (2, 7), (7, 2), (5, 6), (6, 5, 4), (20, 20), (16, 16, 16)]
+# cover both vertex orders of the factor: row-major (9, 7x2, 5x6, 20^2) and
+# by coordinate sum (2x7, 20x30, 6x5x4, 5x9x7, 16^3).
+EQUIVALENCE_GRIDS = [(9,), (2, 7), (7, 2), (5, 6), (20, 30), (6, 5, 4), (5, 9, 7), (20, 20),
+                     (16, 16, 16)]
 
 
 def rel_diff(x, ref):
@@ -286,6 +287,33 @@ def test_banded_solve_matches_sparse_lu(dims):
     assert op.kernel is not None
     assert rel_diff(op.apply(v.T), reference_kernel(v).T) <= 1e-13  # one product
     assert rel_diff(op.dense_kernel(), k_ref) <= 1e-13
+
+
+# The band's height: prod(dims[1:]) + 1 rows in row-major order, and in
+# coordinate-sum order at a cube n^3 the bandwidth of its grid graph,
+# floor(3 n^2 / 4 + n / 2), plus one.
+@pytest.mark.parametrize("dims, rows", [((16, 16, 16), 201), ((10, 10, 10), 81),
+                                        ((20, 20), 21), ((50, 50), 51), ((30, 20), 21)])
+def test_band_height(dims, rows):
+    spec = GridSpec(dims)
+    op = assemble(spec, constant_weights(spec), 1e-2, 2)
+    assert op._cholesky.shape == (rows, spec.num_vertices)
+
+
+def test_reordered_solve_of_a_fortran_block():
+    # the (N, k) block apply passes, v.T of its (k, N) rows, on a grid
+    # factored in coordinate-sum order
+    spec = GridSpec((6, 5, 4))
+    n = spec.num_vertices
+    rng = np.random.default_rng(3)
+    op = assemble(spec, rng.uniform(0.3, 3.0, edge_count(spec)), 2e-2, 4)
+    assert op._cholesky.shape[0] < n // spec.dims[0] + 1
+    b = rng.normal(size=(5, n)).T
+    b_before = b.copy()
+    x = op.solve(b)
+    np.testing.assert_array_equal(b, b_before)
+    assert x.shape == b.shape and x.flags.f_contiguous
+    np.testing.assert_array_equal(x, np.column_stack([op.solve(col) for col in b.T]))
 
 
 # Gate for the row layout: an application takes and returns (F, N) blocks of
