@@ -21,8 +21,9 @@ and v_r are (F, N) blocks of (R, F, N) arrays, and each forward kernel
 application takes the block of one input and returns K v in the same
 shape: 2R applications per sweep, whatever F is.  Displacement
 interpolation between two histograms is the R=2 barycenter with weights
-(1-t, t), and a sequence's frames at times t_i are one call with rows
-(1-t_i, t_i).
+(1-t, t), and a sequence's interior frames at times t_i are one call with
+rows (1-t_i, t_i); at t = 0 and 1 the barycenter is K a_r, which
+``otgrid.objective`` forms in closed form.
 
 A recorded call keeps, per sweep, K v_r and K u_r of every input and
 frame: arrays indexed [sweep, input, frame, vertex], 8 L F N 2R bytes.  The

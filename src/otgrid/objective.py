@@ -2,8 +2,9 @@
 
 For a sequence of observed histograms h_1..h_P with timestamps t_i, every
 frame is compared against the displacement interpolation of the sequence
-endpoints at its own timestamp (the endpoints themselves reconstruct to
-K h_1 and K h_P, so they contribute a diffusion-blur floor, not zero).
+endpoints at its own timestamp.  At t = 0 and 1 that barycenter is K h_1
+and K h_P in closed form, so the endpoint frames are reconstructed by one
+kernel application and contribute a diffusion-blur floor, not zero.
 The total over all sequences is
 
     E(w) = sum_seq sum_i loss(interp(h_1, h_P, t_i), h_i)
@@ -13,12 +14,12 @@ The total over all sequences is
 optimized in the log domain: the caller supplies wlog, the gradient is
 returned with respect to wlog (chain rule g = dE/dw * w).
 
-The frames of a sequence share its endpoints, so they are one barycenter
-call with one weight row (1 - t_i, t_i) per frame and one backward pass;
-sequences run one after another.  Reduction order is fixed and documented
-for bit-reproducibility: frame values accumulate in index order into a
-per-sequence subtotal, subtotals then accumulate in sequence order,
-regularizers are added last.  The weight gradients of all kernel
+The interior frames of a sequence share its endpoints, so they are one
+barycenter call with one weight row (1 - t_i, t_i) per frame and one
+backward pass; sequences run one after another.  Reduction order is fixed
+and documented for bit-reproducibility: frame values accumulate in index
+order into a per-sequence subtotal, subtotals then accumulate in sequence
+order, regularizers are added last.  The weight gradients of all kernel
 applications go, sequence by sequence, into one gradient accumulator that
 is finalized once per evaluation.
 """
@@ -27,12 +28,14 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensorio
-from .barycenter import barycenter, barycenter_backward, check_distributions
+from .barycenter import (DegeneracyWarning, _guard, barycenter, barycenter_backward,
+                         check_distributions)
 from .diffusion import AssemblyError, assemble
 from .grids import GridSpec, parallel_difference
 from .tensorio import LOSS_KINDS
@@ -144,16 +147,30 @@ def reg_smooth(spec: GridSpec, w):
 
 def _sequence_term(op, iters: int, seq: Sequence, kind: str, grad_acc) -> float:
     """Data fit of one sequence: every frame against the barycenter of the
-    endpoints at its timestamp, all frames from one barycenter call."""
-    t = seq.timestamps
-    recon, tape = barycenter(op, seq.frames[[0, -1]], np.stack([1.0 - t, t], axis=1), iters,
-                             record=True)
+    endpoints at its timestamp.  The endpoint frames are K a in closed form,
+    one application of the (2, N) endpoint block, clamped at the divide
+    floor as the sweeps clamp K u_r, and pulled back as one block; the
+    interior frames are one recorded barycenter call with rows
+    (1 - t_i, t_i).  A two-frame sequence makes no barycenter call."""
+    t, ends = seq.timestamps[1:-1], seq.frames[[0, -1]]
+    clamps = [0]
+    recon = np.empty_like(seq.frames)
+    recon[[0, -1]] = _guard(op.apply(ends), clamps)
+    if clamps[0]:
+        warnings.warn("endpoint reconstruction clamped %d near-zero entries" % clamps[0],
+                      DegeneracyWarning)
+    tape = None
+    if len(t):
+        recon[1:-1], tape = barycenter(op, ends, np.stack([1.0 - t, t], axis=1), iters,
+                                       record=True)
     sub_val = 0.0
     gbar = np.empty_like(recon)
     for i in range(seq.num_frames):
         val, gbar[i] = loss(kind, recon[i], seq.frames[i])
         sub_val += val
-    barycenter_backward(tape, gbar, grad_acc)
+    if tape is not None:
+        barycenter_backward(tape, gbar[1:-1], grad_acc)
+    grad_acc.pull(gbar[[0, -1]], ends)
     return sub_val
 
 

@@ -2,9 +2,11 @@
 
 A barycenter with (F, R) weights runs every frame through one loop, each
 kernel application acting on an (F, N) block, and the objective makes one
-such call per sequence.  The reference is the per-frame path: one call
-with a 1-D weight vector per frame, and, for the objective, one recorded
-barycenter and one backward pass per frame into a shared accumulator.
+such call per sequence for its interior frames; its endpoint frames are
+K a in closed form.  The reference is the per-frame path: one call with a
+1-D weight vector per frame, and, for the objective, one recorded
+barycenter and one backward pass per frame, endpoints included, into a
+shared accumulator.
 The backward pass pulls each half-sweep back as one (R F, N) block; its
 reference is the per-input replay, one pull per input and half-sweep.  It
 rebuilds each sweep's v-target from the tape, and the rebuilt targets are
@@ -18,11 +20,11 @@ import warnings
 import numpy as np
 import pytest
 
-from otgrid import diffusion
+from otgrid import diffusion, objective
 from otgrid.barycenter import DegeneracyWarning, _target, barycenter, barycenter_backward
-from otgrid.diffusion import assemble
+from otgrid.diffusion import DiffusionOperator, assemble
 from otgrid.grids import GridSpec, edge_count
-from otgrid.objective import Objective, evaluate_with_grad, loss
+from otgrid.objective import Objective, Sequence, evaluate_with_grad, loss
 from test_dense_engine import CLAMP_EPSILON, GRIDS, RTOL, blob_sequence, corner_diracs, rel_diff
 
 ITERS, SUBSTEPS, EPSILON = 10, 8, 1.2e-2
@@ -85,7 +87,7 @@ def per_frame_evaluation(obj, wlog):
     return total, acc.finalize() * w
 
 
-@pytest.mark.parametrize("frames", [2, 7])
+@pytest.mark.parametrize("frames", [2, 3, 7])
 @pytest.mark.parametrize("kind", ["l1", "l2", "kl"])
 def test_objective_matches_per_frame_loop(spec, kind, frames):
     obj = Objective(spec, (blob_sequence(spec, frames),), EPSILON, SUBSTEPS, ITERS,
@@ -93,6 +95,75 @@ def test_objective_matches_per_frame_loop(spec, kind, frames):
     wlog = np.random.default_rng(3).normal(0.0, 0.3, edge_count(spec))
     val, grad = evaluate_with_grad(obj, wlog)
     val_ref, grad_ref = per_frame_evaluation(obj, wlog)
+    assert abs(val - val_ref) <= RTOL * abs(val_ref)
+    assert rel_diff(grad, grad_ref) <= RTOL
+
+
+@pytest.mark.parametrize("frames", [2, 3, 7])
+def test_objective_work_counts(monkeypatch, frames):
+    """On the solve path, one evaluation of a P-frame sequence makes one
+    barycenter call on its P - 2 interior rows and 2 ITERS + 1 pulls, the
+    last one of the (2, N) endpoint block; a two-frame sequence makes no
+    barycenter call and one pull.  The forward pass solves
+    S (2R ITERS (P - 2) + 2) columns, against S 2R ITERS P with every frame
+    in the sweeps."""
+    monkeypatch.setattr(diffusion, "DENSE_MAX", 0)
+    spec = GridSpec(GRIDS[1])
+    obj = Objective(spec, (blob_sequence(spec, frames),), EPSILON, SUBSTEPS, ITERS,
+                    lambda_s=0.0)
+    weight_shapes, pulls, forward_columns, pulling = [], [], [0], [False]
+    bary, solve, pull = objective.barycenter, DiffusionOperator.solve, diffusion._ChainGradient.pull
+
+    def counted_barycenter(op, inputs, lam, *args, **kwargs):
+        weight_shapes.append(np.shape(lam))
+        return bary(op, inputs, lam, *args, **kwargs)
+
+    def counted_solve(self, b):
+        if not pulling[0]:
+            forward_columns[0] += 1 if b.ndim == 1 else b.shape[1]
+        return solve(self, b)
+
+    def counted_pull(self, g, x):
+        pulls.append(np.shape(g))
+        pulling[0] = True
+        try:
+            return pull(self, g, x)
+        finally:
+            pulling[0] = False
+
+    monkeypatch.setattr(objective, "barycenter", counted_barycenter)
+    monkeypatch.setattr(DiffusionOperator, "solve", counted_solve)
+    monkeypatch.setattr(diffusion._ChainGradient, "pull", counted_pull)
+    evaluate_with_grad(obj, np.zeros(edge_count(spec)))
+    interior, r_count = frames - 2, 2
+    assert weight_shapes == ([(interior, r_count)] if interior else [])
+    assert len(pulls) == (2 * ITERS + 1 if interior else 1)
+    assert pulls[-1] == (2, spec.num_vertices)
+    assert forward_columns[0] == SUBSTEPS * (2 * r_count * ITERS * interior + 2)
+
+
+@pytest.mark.parametrize("frames", [2, 3])
+@pytest.mark.parametrize("dims", GRIDS, ids=grid_id)
+def test_endpoint_clamps_keep_kl_finite_and_warn(dims, frames):
+    """At an epsilon where the kernel underflows, K a has exact zeros.  The
+    endpoint reconstruction clamps them at the divide floor, as the sweeps
+    clamp K u_r, so a KL fit stays finite, equals the all-rows loop, and is
+    reported; a two-frame sequence, which makes no barycenter call, warns
+    from its endpoints alone."""
+    spec = GridSpec(dims)
+    h = corner_diracs(spec)
+    seq = Sequence(np.stack([h[0]] + [h.mean(axis=0)] * (frames - 2) + [h[1]]),
+                   np.linspace(0.0, 1.0, frames))
+    obj = Objective(spec, (seq,), CLAMP_EPSILON[dims], 1, 3, loss="kl", lambda_s=0.0)
+    wlog = np.zeros(edge_count(spec))
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        val, grad = evaluate_with_grad(obj, wlog)
+    assert any(issubclass(x.category, DegeneracyWarning) for x in rec)
+    assert np.isfinite(val) and np.isfinite(grad).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        val_ref, grad_ref = per_frame_evaluation(obj, wlog)
     assert abs(val - val_ref) <= RTOL * abs(val_ref)
     assert rel_diff(grad, grad_ref) <= RTOL
 
