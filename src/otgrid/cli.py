@@ -11,15 +11,10 @@ problem.  argparse's own usage failures also exit with 2.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
-import glob
 import os
 import sys
-import warnings
 
 import numpy as np
-import scipy
 
 from . import color as colorlib
 from . import tensorio
@@ -49,7 +44,11 @@ def _load_histogram(path, spec: GridSpec) -> np.ndarray:
     h = t.ravel()
     if np.any(h < 0):
         raise UsageError("%s: histogram has negative entries" % (path,))
-    total = h.sum()
+    with np.errstate(over="ignore"):
+        total = h.sum()
+    if not np.isfinite(total):  # finite entries whose sum overflows float64
+        h = h / h.max()
+        total = h.sum()
     if total <= 0:
         raise UsageError("%s: histogram has no mass" % (path,))
     return h / total
@@ -249,30 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _pin_blas_threads():
-    """Run numpy's and scipy's bundled OpenBLAS on one thread: OpenBLAS splits
-    a product's sums by thread, so the bytes of a result would otherwise
-    depend on OPENBLAS_NUM_THREADS, or on the machine's cores when unset.  A
-    package whose BLAS has no such setter (a build that does not bundle
-    scipy-openblas) is left as it is, with a warning that names it."""
-    for pkg, setter in ((np, "scipy_openblas_set_num_threads64_"),
-                        (scipy, "scipy_openblas_set_num_threads")):
-        pinned = False
-        # the wheel's libraries sit beside the package, in numpy.libs or scipy.libs
-        for path in glob.glob(pkg.__path__[0] + ".libs/libscipy_openblas*.so"):
-            set_threads = getattr(ctypes.CDLL(path), setter, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                pinned = True
-        if not pinned:
-            warnings.warn("%s's BLAS thread count is not pinned (no bundled OpenBLAS with %s),"
-                          " so results may depend on it" % (pkg.__name__, setter))
-
-
 def main(argv=None) -> int:
-    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

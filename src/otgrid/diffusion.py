@@ -88,15 +88,48 @@ entries of X T(S) X that the edge form reads.  That is 11 N x N products
 at S = 20 instead of the 2S = 40 of the sum term by term.
 ``DiffusionOperator.gradient_accumulator`` hides which of the two paths
 runs.
+
+Importing this module runs numpy's and scipy's bundled OpenBLAS on one
+thread for the whole process: OpenBLAS splits a product's sums by thread,
+so a result's bytes, and the speed of the small products here, would
+otherwise depend on OPENBLAS_NUM_THREADS or the core count.  A build
+without that bundled library, or whose library lacks the setter, is left
+unpinned with a UserWarning that names the package.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import warnings
+
 import numpy as np
+import scipy
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .grids import GridSpec, check_weights, edge_count, edge_vertices, field_sizes, field_slices
+
+
+def _pin_blas_threads():
+    """Run numpy's and scipy's bundled OpenBLAS on one thread (module
+    docstring); warn, naming the package, where there is no setter."""
+    for pkg, setter in ((np, "scipy_openblas_set_num_threads64_"),
+                        (scipy, "scipy_openblas_set_num_threads")):
+        pinned = False
+        # the wheel's libraries sit beside the package, in numpy.libs or scipy.libs
+        for path in glob.glob(pkg.__path__[0] + ".libs/libscipy_openblas*.so"):
+            set_threads = getattr(ctypes.CDLL(path), setter, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                pinned = True
+        if not pinned:
+            warnings.warn("%s's BLAS thread count is not pinned (no bundled OpenBLAS with %s),"
+                          " so results may depend on it" % (pkg.__name__, setter))
+
+
+_pin_blas_threads()
 
 DENSE_GUARD = 4096
 # Largest grid whose differentiated K is applied as a dense matrix.  One
@@ -342,6 +375,7 @@ class _DenseGradient:
         g, x = np.asarray(g, dtype=np.float64), np.asarray(x, dtype=np.float64)
         if x.shape != g.shape:
             raise ValueError("input %r and gradient %r differ in shape" % (x.shape, g.shape))
+        x = _kernel_input(x, self._op.num_vertices)  # finite, as on the solve path
         # A^T += x^T g, written through A.T, the Fortran view of A: dgemm
         # adds into c in place only when c is Fortran-contiguous (else it
         # returns a copy), and x.T and g.T are Fortran views of the rows

@@ -390,12 +390,22 @@ def test_ac10_determinism(desk_case, tmp_path):
     assert np.array_equal(g1, g4)
 
 
-def test_ac10_learn_bytes_do_not_depend_on_blas_threads(desk_case, tmp_path):
-    """``otgrid learn`` pins BLAS to one thread itself: the 15-iteration desk
-    fit writes the same weight bytes in processes started under
-    OPENBLAS_NUM_THREADS=1, =2 and with no thread variable set."""
-    import json
+def blas_thread_envs():
+    """Environments for a child process under OPENBLAS_NUM_THREADS=1, =2 and
+    with no thread variable set, keyed "1", "2" and None."""
     import os
+
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {t: dict(base, OPENBLAS_NUM_THREADS=t) if t else base for t in ("1", "2", None)}
+
+
+def test_ac10_learn_bytes_do_not_depend_on_blas_threads(desk_case, tmp_path):
+    """Importing ``otgrid.diffusion`` pins BLAS to one thread, so the
+    15-iteration desk fit of ``otgrid learn`` writes the same weight bytes in
+    processes started under OPENBLAS_NUM_THREADS=1, =2 and with no thread
+    variable set."""
+    import json
     import subprocess
     import sys
 
@@ -406,14 +416,39 @@ def test_ac10_learn_bytes_do_not_depend_on_blas_threads(desk_case, tmp_path):
                                "lambda_c": 0.0, "lambda_s": 0.03,
                                "lbfgs": {"max_iters": 15}}))
     save_sequence(tmp_path / "seq", spec, seq)
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     weights = {}
-    for threads in ("1", "2", None):
-        env = dict(base, OPENBLAS_NUM_THREADS=threads) if threads else base
+    for threads, env in blas_thread_envs().items():
         out = tmp_path / ("w%s" % threads)
         subprocess.run([sys.executable, "-m", "otgrid.cli", "learn", "--config", str(cfg),
                         "--sequence", str(tmp_path / "seq"), "--out", str(out)],
                        env=env, check=True, capture_output=True)
         weights[threads] = [(out / ("weights_axis%d.gmlt" % a)).read_bytes() for a in (0, 1)]
     assert weights["1"] == weights["2"] == weights[None]
+
+
+def test_ac10_library_gradient_bytes_do_not_depend_on_blas_threads(desk_case, tmp_path):
+    """A library caller's ``evaluate_with_grad``, with no command around it,
+    gives the same value and gradient bytes at the desk fit's start (unit
+    weights, the dense path) in processes started under
+    OPENBLAS_NUM_THREADS=1, =2 and with no thread variable set."""
+    import subprocess
+    import sys
+
+    spec, _, seq, _ = desk_case
+    save_sequence(tmp_path / "seq", spec, seq)
+    script = "\n".join([
+        "import hashlib, sys",
+        "import numpy as np",
+        "from otgrid.grids import edge_count",
+        "from otgrid.objective import Objective, evaluate_with_grad, load_sequence",
+        "spec, seq = load_sequence(sys.argv[1])",
+        "obj = Objective(grid=spec, sequences=(seq,), epsilon=1.2e-2, substeps=20,",
+        "                sinkhorn_iters=30, loss='l2', lambda_c=0.0, lambda_s=0.03)",
+        "value, grad = evaluate_with_grad(obj, np.zeros(edge_count(spec)))",
+        "print(hashlib.sha256(np.float64(value).tobytes() + grad.tobytes()).hexdigest())",
+    ])
+    digests = {threads: subprocess.run([sys.executable, "-c", script, str(tmp_path / "seq")],
+                                       env=env, check=True, capture_output=True,
+                                       text=True).stdout
+               for threads, env in blas_thread_envs().items()}
+    assert digests["1"] == digests["2"] == digests[None]

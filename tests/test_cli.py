@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,22 @@ def test_interp_rejects_negative_histogram(workspace):
                 "--steps", 3, "--config", cfg, "--out", root / "i"]) == 2
 
 
+def test_interp_normalizes_a_histogram_whose_sum_overflows(workspace):
+    """Finite entries whose sum is past float64 are scaled by the largest
+    one before normalizing, with no overflow warning on the way."""
+    root, cfg, pat = workspace
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    huge = np.zeros((6, 6))
+    huge[1, 1] = huge[4, 4] = 1.5e308
+    write_tensor(root / "huge.gmlt", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["interp", "--weights", root / "truth",
+                    "--from", root / "huge.gmlt",
+                    "--to", root / "truth" / "frame_003.gmlt",
+                    "--steps", 3, "--config", cfg, "--out", root / "i"]) == 0
+
+
 def test_learn_grid_mismatch(workspace):
     root, cfg, pat = workspace
     run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
@@ -482,15 +499,3 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("gen", "learn", "interp", "transfer", "export", "info"):
         assert sub in proc.stdout
-
-
-@pytest.mark.parametrize("library", [None, object()], ids=["no-library", "no-setter"])
-def test_blas_pin_warns_where_it_cannot_pin(monkeypatch, library):
-    """A numpy or scipy without the bundled OpenBLAS at the expected path,
-    or one whose library lacks the thread setter, is named in a warning,
-    not skipped in silence or ended in a traceback."""
-    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [] if library is None else ["lib.so"])
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: library)
-    with pytest.warns(UserWarning) as rec:
-        cli._pin_blas_threads.__wrapped__()
-    assert [str(w.message).split("'")[0] for w in rec] == ["numpy", "scipy"]

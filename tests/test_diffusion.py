@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +180,23 @@ def test_apply_rejects_non_finite():
     v[4] = np.nan
     with pytest.raises(ValueError):
         op.apply(v)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["solves", "dense"])
+def test_pull_rejects_a_non_finite_input(monkeypatch, dense):
+    """A NaN in the application's input, not only in its gradient, fails at
+    the pull of either path's accumulator instead of giving a NaN weight
+    gradient."""
+    spec = GridSpec((3, 3))
+    if not dense:
+        monkeypatch.setattr(diffusion, "DENSE_MAX", 0)
+    op = assemble(spec, constant_weights(spec), 1e-2, 2)
+    acc = op.gradient_accumulator()
+    assert (op.kernel is not None) == dense
+    x = np.ones((2, 9))
+    x[1, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite input"):
+        acc.pull(np.ones((2, 9)), x)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["solves", "dense"])
@@ -360,3 +380,35 @@ def test_dense_kernel_block_is_its_rows(dims):
     for row, k_row in zip(x, kx):
         assert rel_diff(k_row, op.apply(row)) <= 1e-14
     np.testing.assert_array_equal(op.adjoint_input(x), kx)
+
+
+def test_import_pins_both_blas_pools_to_one_thread():
+    """A fresh ``import otgrid.diffusion`` under OPENBLAS_NUM_THREADS=2 leaves
+    numpy's and scipy's bundled OpenBLAS each on one thread."""
+    script = "\n".join([
+        "import ctypes, glob",
+        "import numpy, scipy",
+        "import otgrid.diffusion",
+        "for pkg, getter in ((numpy, 'scipy_openblas_get_num_threads64_'),",
+        "                    (scipy, 'scipy_openblas_get_num_threads')):",
+        "    for path in glob.glob(pkg.__path__[0] + '.libs/libscipy_openblas*.so'):",
+        "        get = getattr(ctypes.CDLL(path), getter)",
+        "        get.argtypes, get.restype = [], ctypes.c_int",
+        "        print(pkg.__name__, get())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.stdout.splitlines() == ["numpy 1", "scipy 1"]
+
+
+@pytest.mark.parametrize("library", [None, object()], ids=["no-library", "no-setter"])
+def test_blas_pin_warns_where_it_cannot_pin(monkeypatch, library):
+    """A numpy or scipy without the bundled OpenBLAS at the expected path,
+    or one whose library lacks the thread setter, is named in a warning,
+    not skipped in silence or ended in a traceback."""
+    monkeypatch.setattr(diffusion.glob, "glob",
+                        lambda pattern: [] if library is None else ["lib.so"])
+    monkeypatch.setattr(diffusion.ctypes, "CDLL", lambda path: library)
+    with pytest.warns(UserWarning) as rec:
+        diffusion._pin_blas_threads()
+    assert [str(w.message).split("'")[0] for w in rec] == ["numpy", "scipy"]
