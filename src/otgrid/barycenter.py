@@ -40,7 +40,6 @@ finalizes it, once for any number of backward passes.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -128,8 +127,7 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
     of the (F, R) ``lam``.  With ``record`` set, every sweep is written into
     the rows of the returned tape, else ``tape`` is None.  Denominators
     below 1e-300 are clamped and reported once, as a DegeneracyWarning at
-    the first caller outside this module: the public functions call one
-    another (``interpolate`` calls ``barycenter``).
+    the caller of ``barycenter`` or ``sinkhorn_scalings``.
     """
     r_count, n = a.shape
     frames = 1 if lam is None else len(lam)
@@ -152,11 +150,8 @@ def _sweeps(op: DiffusionOperator, a, iters: int, lam=None, target=None, record=
             b = _target(lam, ku)
         v = b / ku
     if clamps[0]:
-        frame, level = sys._getframe(1), 2  # up to the first frame outside this module
-        while frame.f_globals is globals():
-            frame, level = frame.f_back, level + 1
         warnings.warn("Sinkhorn sweeps clamped %d near-zero denominators" % clamps[0],
-                      DegeneracyWarning, stacklevel=level)
+                      DegeneracyWarning, stacklevel=3)
     tape = None
     if record:
         tape = BarycenterTape(kvs, kus, a, None if lam is None else lam.copy(), clamps[0])
@@ -172,6 +167,12 @@ def barycenter(op: DiffusionOperator, inputs, lam, iters: int, record: bool = Fa
     Returns ``(b, tape)``; ``tape`` is None unless ``record`` is set.
     Exactly ``iters`` sweeps run.  Degenerate denominators are clamped at
     1e-300 and reported once per call as a DegeneracyWarning.
+
+    Rows (1-t, t) of two inputs interpolate between them.  The steps are
+    evenly spaced in the McCann sense only where the cost -eps log K of
+    ``op`` is quadratic, for transport distances up to about
+    t' = eps (n-1)^2 / 4 cells (see ``otgrid.diffusion``); over longer
+    paths the steps near the endpoints come out shorter.
     """
     a = _check_histograms(op, inputs, iters)
     lam = np.asarray(lam, dtype=np.float64)
@@ -221,22 +222,6 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
         else:
             v_in = np.ones_like(gp)
         gv = acc.pull(gp.reshape(rows), v_in.reshape(rows)).reshape(gp.shape)
-
-
-def interpolate(op: DiffusionOperator, r0, r1, t: float, iters: int) -> np.ndarray:
-    """Displacement interpolation between r0 and r1 at time t in [0, 1].
-
-    This is the entropic barycenter with weights (1-t, t) under the cost
-    -eps log K of ``op``.  Its steps are evenly spaced in the McCann sense
-    only where that cost is quadratic, i.e. for transport distances up to
-    about t' = eps (n-1)^2 / 4 cells (see ``otgrid.diffusion``); over longer
-    paths the steps near the endpoints come out shorter.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("interpolation time must lie in [0, 1]")
-    b, _ = barycenter(op, np.stack([np.asarray(r0), np.asarray(r1)]),
-                      np.array([1.0 - t, t]), iters)
-    return b
 
 
 def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = False):

@@ -211,11 +211,11 @@ class DiffusionOperator:
         self._i, self._j = i, j = edge_vertices(spec)
         # 1 / h_a^2 = (n_a - 1)^2 of each edge's axis
         inv_h2 = np.repeat([float((n_a - 1) ** 2) for n_a in spec.dims], field_sizes(spec))
-        self._coeff = self.c * inv_h2
         # the edge ends' positions ri < rj in the factor's vertex order
         self._perm, ri, rj, kd = _band_order(spec, i, j)
-        # an entry that overflows fails the finiteness check below
+        # an entry that overflows fails the finiteness checks below
         with np.errstate(over="ignore"):
+            self._coeff = self.c * inv_h2
             scaled = w * inv_h2
             # M = Id - c L(scaled) in upper band storage: M[ri, rj] at band[kd + ri - rj, rj]
             band = np.zeros((kd + 1, n), order="F")
@@ -227,6 +227,9 @@ class DiffusionOperator:
                 deg[ri[sl]] += scaled[sl]
                 deg[rj[sl]] += scaled[sl]
             band[kd] = 1.0 + self.c * deg
+        if not np.isfinite(self._coeff).all():
+            raise AssemblyError("diffusion matrix has non-finite entries: epsilon %r too large"
+                                " for this grid" % self.epsilon)
         # LAPACK's Cholesky passes NaN and inf through without complaint; the
         # diagonal entry bounds its row
         if not np.isfinite(band[kd]).all():

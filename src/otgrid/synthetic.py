@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycenter import interpolate
+from .barycenter import barycenter
 from .diffusion import assemble
 from .grids import GridSpec, field_shape, flatten_fields
 from .objective import Sequence, default_timestamps
@@ -46,7 +46,10 @@ def gaussian(spec: GridSpec, center, sigma: float) -> np.ndarray:
     sq = np.zeros(spec.dims)
     for a in range(spec.d):
         sq += (idx[a] - center[a]) ** 2
-    h = np.exp(-sq / (2.0 * sigma**2)).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # sigma**2 may underflow: 0/0
+        h = np.exp(-sq / (2.0 * sigma**2)).ravel()
+    if not h.sum() > 0:  # NaN fails here too
+        raise ValueError("a blob of sigma %r underflows to 0 at every vertex" % sigma)
     return h / h.sum()
 
 
@@ -178,17 +181,21 @@ def render_metric(spec: GridSpec, pattern: MetricPattern) -> np.ndarray:
             raise ConfigError("regions[%d].factor must be > 0" % i)
         axes.append(_axes_of(region, spec.d, "regions[%d]" % i))
     fields = []
-    for a in range(spec.d):
-        f = np.full(field_shape(spec, a), float(pattern.base))
-        mid = np.indices(f.shape, dtype=np.float64)
-        mid[a] += 0.5
-        for region, region_axes in zip(pattern.regions, axes):
-            if a in region_axes:
-                f[_region_mask(region, mid)] *= region.factor
-        if pattern.smooth_radius > 0:
-            f = _box_mean(f, pattern.smooth_radius)
-        fields.append(f)
-    return flatten_fields(fields)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+        for a in range(spec.d):
+            f = np.full(field_shape(spec, a), float(pattern.base))
+            mid = np.indices(f.shape, dtype=np.float64)
+            mid[a] += 0.5
+            for region, region_axes in zip(pattern.regions, axes):
+                if a in region_axes:
+                    f[_region_mask(region, mid)] *= region.factor
+            if pattern.smooth_radius > 0:
+                f = _box_mean(f, pattern.smooth_radius)
+            fields.append(f)
+    w = flatten_fields(fields)
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ConfigError("base and regions[].factor give a weight that overflows or is 0")
+    return w
 
 
 def forward_sequence(spec: GridSpec, w, r0, r1, frames: int,
@@ -200,6 +207,6 @@ def forward_sequence(spec: GridSpec, w, r0, r1, frames: int,
     ts = default_timestamps(frames)
     out = np.empty((frames, spec.num_vertices))
     for i, t in enumerate(ts):
-        b = interpolate(op, r0, r1, float(t), iters)
+        b, _ = barycenter(op, np.stack([r0, r1]), np.array([1.0 - t, t]), iters)
         out[i] = b / b.sum()
     return Sequence(out, ts)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from otgrid import cli
-from otgrid.barycenter import barycenter, interpolate, sinkhorn_scalings
+from otgrid.barycenter import barycenter, sinkhorn_scalings
 from otgrid.color import ColorHistogram, apply_color_map, barycentric_map, fill_nearest, image_to_histogram, write_ppm
 from otgrid.diffusion import DiffusionOperator, assemble
 from otgrid.grids import GridSpec, axis_fields, constant_weights, edge_count, save_weights
@@ -39,10 +39,10 @@ def spacing_study():
     """Ten-step interpolation between opposite corners of one grid row."""
     spec = GridSpec((50, 50))
     op = assemble(spec, constant_weights(spec), 1.2e-2, 50)
-    r0 = dirac(spec, (0, 0))
-    r1 = dirac(spec, (0, 49))
+    ends = np.stack([dirac(spec, (0, 0)), dirac(spec, (0, 49))])
     t0 = time.perf_counter()
-    frames = [interpolate(op, r0, r1, t, 50) for t in np.linspace(0.0, 1.0, 10)]
+    frames = [barycenter(op, ends, np.array([1.0 - t, t]), 50)[0]
+              for t in np.linspace(0.0, 1.0, 10)]
     elapsed = time.perf_counter() - t0
     return spec, frames, elapsed
 
@@ -67,9 +67,9 @@ def even_spacing_study():
     """
     spec = GridSpec((50, 50))
     op = assemble(spec, constant_weights(spec), EVEN_SPACING_EPSILON, 50)
-    r0 = dirac(spec, (0, 0))
-    r1 = dirac(spec, (0, 49))
-    frames = [interpolate(op, r0, r1, t, 50) for t in np.linspace(0.0, 1.0, 10)]
+    ends = np.stack([dirac(spec, (0, 0)), dirac(spec, (0, 49))])
+    frames = [barycenter(op, ends, np.array([1.0 - t, t]), 50)[0]
+              for t in np.linspace(0.0, 1.0, 10)]
     return spec, frames
 
 
@@ -235,10 +235,9 @@ def test_ac6_interpolants_conserve_mass(spacing_study):
     small = GridSpec((8, 8))
     rng = np.random.default_rng(1)
     op = assemble(small, rng.uniform(0.5, 2.0, edge_count(small)), 1.2e-2, 10)
-    r0 = gaussian(small, (3.5, 1.0), 1.0)
-    r1 = gaussian(small, (3.5, 6.0), 1.0)
+    ends = np.stack([gaussian(small, (3.5, 1.0), 1.0), gaussian(small, (3.5, 6.0), 1.0)])
     for t in (0.25, 0.5, 0.75):
-        assert abs(interpolate(op, r0, r1, t, 20).sum() - 1.0) < 1e-6
+        assert abs(barycenter(op, ends, np.array([1.0 - t, t]), 20)[0].sum() - 1.0) < 1e-6
 
 
 def test_ac7_metric_recovery(desk_case):

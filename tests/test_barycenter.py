@@ -5,18 +5,18 @@ import pytest
 
 import otgrid.barycenter
 import otgrid.diffusion
+import otgrid.synthetic
 from otgrid.barycenter import (
     DegeneracyWarning,
     barycenter,
     barycenter_backward,
-    interpolate,
     sinkhorn_scalings,
 )
 from otgrid.color import ColorHistogram
 from otgrid.diffusion import assemble
 from otgrid.grids import GridSpec, constant_weights, edge_count
 from otgrid.objective import Sequence
-from otgrid.synthetic import dirac, gaussian
+from otgrid.synthetic import dirac, forward_sequence, gaussian
 
 
 def euclidean_op(dims, epsilon=1.2e-2, substeps=10):
@@ -63,22 +63,6 @@ def test_endpoint_weight_vector_is_kernel_blur():
     np.testing.assert_allclose(b, op.apply(a[0]), atol=1e-12)
     b1, _ = barycenter(op, a, np.array([0.0, 1.0]), 7)
     np.testing.assert_allclose(b1, op.apply(a[1]), atol=1e-12)
-
-
-def test_interpolate_endpoints_match_barycenter():
-    op = euclidean_op((5, 5))
-    a = random_histograms(op.spec, 2, 2)
-    g0 = interpolate(op, a[0], a[1], 0.0, 5)
-    np.testing.assert_allclose(g0, op.apply(a[0]), atol=1e-12)
-    g1 = interpolate(op, a[0], a[1], 1.0, 5)
-    np.testing.assert_allclose(g1, op.apply(a[1]), atol=1e-12)
-
-
-def test_interpolate_rejects_out_of_range_time():
-    op = euclidean_op((3, 3))
-    a = random_histograms(op.spec, 2, 3)
-    with pytest.raises(ValueError):
-        interpolate(op, a[0], a[1], 1.5, 3)
 
 
 def test_barycenter_mass_near_one():
@@ -129,12 +113,16 @@ def test_barycenter_input_validation():
         barycenter(op, short, np.array([0.5, 0.5]), 3)  # wrong grid size
 
 
-@pytest.mark.parametrize("run", [
-    lambda op, a, b: barycenter(op, np.stack([a, b]), np.array([0.5, 0.5]), 3)[0],
-    lambda op, a, b: sinkhorn_scalings(op, a, b, 3)[1],
-    lambda op, a, b: interpolate(op, a, b, 0.5, 3),
-], ids=["barycenter", "sinkhorn_scalings", "interpolate"])
-def test_degenerate_denominators_warn_once_and_stay_finite(run):
+@pytest.mark.parametrize("run, calls, caller", [
+    (lambda op, a, b: barycenter(op, np.stack([a, b]), np.array([0.5, 0.5]), 3)[0],
+     1, __file__),
+    (lambda op, a, b: sinkhorn_scalings(op, a, b, 3)[1], 1, __file__),
+    # one barycenter call per frame, each warning at its caller in synthetic.py
+    (lambda op, a, b: forward_sequence(op.spec, constant_weights(op.spec), a, b, 3,
+                                       op.epsilon, op.substeps, 3).frames,
+     3, otgrid.synthetic.__file__),
+], ids=["barycenter", "sinkhorn_scalings", "forward_sequence"])
+def test_degenerate_denominators_warn_once_and_stay_finite(run, calls, caller):
     spec = GridSpec((30, 30))
     op = assemble(spec, constant_weights(spec), 1e-8, 1)
     a = dirac(spec, (0, 0))
@@ -143,8 +131,8 @@ def test_degenerate_denominators_warn_once_and_stay_finite(run):
         warnings.simplefilter("always")
         out = run(op, a, b)
     hits = [w for w in rec if issubclass(w.category, DegeneracyWarning)]
-    assert len(hits) == 1
-    assert hits[0].filename == __file__  # points at the public function's caller
+    assert len(hits) == calls  # once per barycenter or scalings call
+    assert {w.filename for w in hits} == {caller}  # the public function's caller
     assert np.isfinite(out).all()
 
 

@@ -283,6 +283,14 @@ def test_non_scalar_config_value_is_config_error(tmp_path):
     ({"regions": [{"factor": 0.2, "shape": "disk", "center": [2, 2], "radius": -1}]},
      "regions[0].radius"),
     ({"smooth_radius": -1}, "smooth_radius"),
+    # rendered weights out of the float range
+    ({"base": 1e308, "regions": [{"factor": 1e10, "lo": [2, 2], "hi": [3, 3]}]}, "base"),
+    ({"base": 1e300, "smooth_radius": 1,  # the box sum overflows, not the product
+      "regions": [{"factor": 1e8, "lo": [2, 2], "hi": [3, 3]}]}, "base"),
+    ({"base": 1e-300, "regions": [{"factor": 1e-100, "lo": [2, 2], "hi": [3, 3]}]}, "base"),
+    # an end blob that is 0 at every vertex, or whose sigma squared underflows
+    ({"endpoints": {"sigma": 0.01, "start": [4.5, 0.5]}}, "endpoints.start"),
+    ({"endpoints": {"sigma": 1e-200, "start": [4.0, 0.0]}}, "endpoints.start"),
 ])
 def test_gen_bad_pattern_value_is_config_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path / "c.json")

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,16 @@ def test_assembly_rejects_non_finite_matrix(dims, bad):
     w[edge_count(spec) // 2] = bad
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         assemble(spec, w, 1e-2, 3)
+
+
+def test_assembly_names_an_epsilon_whose_coefficient_overflows():
+    """eps / 4S times (n-1)^2 overflows for eps = 1e308 whatever the weights;
+    assembly says so without a numpy warning, and does not blame the weights."""
+    spec = GridSpec((10, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(diffusion.AssemblyError, match="epsilon 1e\\+308 too large"):
+            assemble(spec, constant_weights(spec), 1e308, 1)
 
 
 # Equivalence gate for the banded Cholesky factorization: a sparse LU of the
