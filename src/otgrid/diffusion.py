@@ -131,7 +131,6 @@ def _pin_blas_threads():
 
 _pin_blas_threads()
 
-DENSE_GUARD = 4096
 # Largest grid whose differentiated K is applied as a dense matrix.  One
 # desk-style evaluation (S = 20, 30 sweeps, 7 frames, one BLAS thread, a
 # shared 2-core box) took 0.67-0.77 s dense against 1.74-1.97 s on the
@@ -341,10 +340,7 @@ class DiffusionOperator:
         only)."""
         if self.kernel is not None:
             return self.kernel
-        n = self.num_vertices
-        if n > DENSE_GUARD:
-            raise ValueError("dense kernel limited to N <= %d, got %d" % (DENSE_GUARD, n))
-        return self.apply(np.eye(n))
+        return self.apply(np.eye(self.num_vertices))
 
 
 class _ChainGradient:

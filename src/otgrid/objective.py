@@ -182,37 +182,31 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
     are reduced in the fixed documented order.  ``threads`` is
     accepted for compatibility and has no effect.
 
-    The value is +inf, with a NaN gradient, at finite log-weights whose
-    weights cannot be assembled (exp gives 0 or inf, or M overflows or
-    fails to factor), or whose total or gradient is not finite (a
-    regularizer overflows, even under a zero coefficient).  A line search
-    backs off from such a point.  The parts stay as computed.
+    The value is +inf, with a NaN gradient, wherever the total or gradient
+    is not finite: where the weights cannot be assembled (exp gives 0 or
+    inf, or M overflows or fails to factor), which makes the data fit +inf,
+    or where a regularizer overflows, even under a zero coefficient.  A
+    line search backs off from such a point.  The parts are as computed.
     """
     wlog = np.asarray(wlog, dtype=np.float64)
     if not np.isfinite(wlog).all():
         raise ValueError("non-finite log-weights")
-    with np.errstate(over="ignore"):  # an inf weight is caught below
+    with np.errstate(over="ignore"):  # an inf weight fails assembly
         w = np.exp(wlog)
-    op = None
-    if np.isfinite(w).all() and w.min() > 0:
-        try:
-            op = assemble(obj.grid, w, obj.epsilon, obj.substeps)
-        except AssemblyError:
-            pass
-    if op is None:
-        grad = np.full_like(wlog, np.nan)
-        if with_parts:
-            return np.inf, grad, ObjectiveParts(np.inf, np.inf, np.inf)
-        return np.inf, grad
-    # requested before the sequences, so that their forward passes run on
-    # the dense K where the accumulator forms one
-    grad_acc = op.gradient_accumulator()
-
-    data_fit = 0.0
-    for seq in obj.sequences:
-        data_fit += _sequence_term(op, obj.sinkhorn_iters, seq, obj.loss, grad_acc)
-    del op  # lets finalize free a dense K before its recursion
-    dw_data = grad_acc.finalize()
+    data_fit, dw_data = np.inf, np.full_like(wlog, np.nan)
+    try:
+        op = assemble(obj.grid, w, obj.epsilon, obj.substeps) if w.min() > 0 else None
+    except AssemblyError:
+        op = None
+    if op is not None:
+        # requested before the sequences, so that their forward passes run
+        # on the dense K where the accumulator forms one
+        grad_acc = op.gradient_accumulator()
+        data_fit = 0.0
+        for seq in obj.sequences:
+            data_fit += _sequence_term(op, obj.sinkhorn_iters, seq, obj.loss, grad_acc)
+        del op  # lets finalize free a dense K before its recursion
+        dw_data = grad_acc.finalize()
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
         fc, fc_grad = reg_constant(w)
@@ -221,9 +215,7 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
         grad = (dw_data + obj.lambda_c * fc_grad + obj.lambda_s * fs_grad) * w
     if not (np.isfinite(total) and np.isfinite(grad).all()):
         total, grad = np.inf, np.full_like(wlog, np.nan)
-    if with_parts:
-        return total, grad, ObjectiveParts(data_fit, fc, fs)
-    return total, grad
+    return (total, grad, ObjectiveParts(data_fit, fc, fs)) if with_parts else (total, grad)
 
 
 # --- sequence files ---------------------------------------------------------
@@ -270,16 +262,21 @@ def save_sequence(dirpath, spec: GridSpec, seq: Sequence) -> None:
 
 
 def load_sequence(dirpath):
-    """Read a sequence directory back; returns (GridSpec, Sequence)."""
-    manifest = tensorio.parse_object(
-        Manifest, tensorio.read_json(os.path.join(dirpath, "manifest.json")))
-    spec = GridSpec(manifest.dims)
-    frames = []
-    for name in manifest.frames:
-        t = tensorio.read_tensor(os.path.join(dirpath, name))
-        if t.shape != spec.dims:
-            raise ValueError("frame %s has shape %r, expected %r"
-                             % (name, t.shape, spec.dims))
-        frames.append(t.ravel())
-    seq = Sequence(np.stack(frames), np.asarray(manifest.timestamps, dtype=np.float64))
+    """Read a sequence directory back; returns (GridSpec, Sequence).  Every
+    error names the directory, or the file it read, once; a ValueError keeps
+    its type."""
+    doc = tensorio.read_json(os.path.join(dirpath, "manifest.json"))  # names its file
+    try:
+        manifest = tensorio.parse_object(Manifest, doc)
+        spec = GridSpec(manifest.dims)
+        frames = []
+        for name in manifest.frames:
+            t = tensorio.read_tensor(os.path.join(dirpath, name))
+            if t.shape != spec.dims:
+                raise ValueError("frame %s has shape %r, expected %r"
+                                 % (name, t.shape, spec.dims))
+            frames.append(t.ravel())
+        seq = Sequence(np.stack(frames), np.asarray(manifest.timestamps, dtype=np.float64))
+    except ValueError as exc:
+        raise type(exc)("%s: %s" % (dirpath, exc)) from exc
     return spec, seq

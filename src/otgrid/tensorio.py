@@ -228,12 +228,13 @@ def parse_object(cls, doc, key=""):
 
 
 def read_json(path):
-    """The JSON document in ``path``; malformed JSON is a ConfigError naming the file.
-    Its objects remember repeated keys, which ``parse_object`` rejects."""
+    """The JSON document in ``path``; malformed JSON or text that is not UTF-8
+    is a ConfigError naming the file.  Its objects remember repeated keys,
+    which ``parse_object`` rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_JsonObject)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError("%s: %s" % (path, exc)) from exc
 
 

@@ -9,7 +9,8 @@ from otgrid import cli
 from otgrid.color import read_ppm, write_ppm
 from otgrid.grids import GridSpec, constant_weights, load_weights, save_weights
 from otgrid.lbfgs import LbfgsOptions
-from otgrid.tensorio import read_tensor, write_tensor
+from otgrid.objective import load_sequence
+from otgrid.tensorio import ConfigError, read_tensor, write_tensor
 
 
 def write_config(path, **overrides):
@@ -370,6 +371,59 @@ def test_repeated_json_key_is_config_error(workspace, capsys):
     assert run(["learn", "--config", cfg, "--sequence", root / "truth",
                 "--out", root / "w"]) == 2
     assert "repeated keys: timestamps\n" in capsys.readouterr().err
+
+
+def _reverse_interior_timestamps(seq):
+    manifest = json.loads((seq / "manifest.json").read_text())
+    manifest["timestamps"][1:-1] = manifest["timestamps"][-2:0:-1]
+    (seq / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _add_manifest_key(seq):
+    manifest = json.loads((seq / "manifest.json").read_text())
+    manifest["fps"] = 24
+    (seq / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("breakage, kind, text", [
+    (_reverse_interior_timestamps, ValueError, "timestamps must increase"),
+    (_add_manifest_key, ConfigError, "unknown keys: fps"),
+    (lambda seq: write_tensor(seq / "frame_001.gmlt", 2 * read_tensor(seq / "frame_001.gmlt")),
+     ValueError, "frames must sum to 1"),
+    (lambda seq: write_tensor(seq / "frame_001.gmlt", np.full((6, 5), 1 / 30)),
+     ValueError, "frame_001.gmlt has shape"),
+], ids=["timestamp-order", "extra-key", "frame-mass", "frame-shape"])
+def test_learn_names_the_sequence_at_fault(workspace, capsys, breakage, kind, text):
+    """Of two sequences, the broken second one is named exactly once."""
+    root, cfg, pat = workspace
+    for name in ("good", "broken"):
+        run(["gen", "--config", cfg, "--pattern", pat, "--out", root / name])
+    breakage(root / "broken")
+    with pytest.raises(kind, match=text) as info:
+        load_sequence(root / "broken")
+    assert type(info.value) is kind
+    capsys.readouterr()
+    assert run(["learn", "--config", cfg, "--sequence", root / "good",
+                "--sequence", root / "broken", "--out", root / "o"]) == 2
+    err = capsys.readouterr().err
+    assert text in err and err.count(str(root / "broken")) == 1
+    assert str(root / "good") not in err
+
+
+def test_json_that_is_not_utf8_names_its_file(workspace, capsys):
+    """A run config and a sequence manifest alike: exit 2, the path named once."""
+    root, cfg, pat = workspace
+    bad = root / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run(["gen", "--config", bad, "--pattern", pat, "--out", root / "o"]) == 2
+    assert capsys.readouterr().err.count(str(bad)) == 1
+    run(["gen", "--config", cfg, "--pattern", pat, "--out", root / "truth"])
+    manifest = root / "truth" / "manifest.json"
+    manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+    capsys.readouterr()
+    assert run(["learn", "--config", cfg, "--sequence", root / "truth",
+                "--out", root / "w"]) == 2
+    assert capsys.readouterr().err.count(str(manifest)) == 1
 
 
 def test_learn_backs_off_from_weights_out_of_the_float_range(tmp_path, monkeypatch):

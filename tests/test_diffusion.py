@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from otgrid import diffusion
-from otgrid.diffusion import DENSE_GUARD, DENSE_MAX, DiffusionOperator, assemble
+from otgrid.diffusion import DENSE_MAX, DiffusionOperator, assemble
 from otgrid.grids import (
     GridSpec,
     axis_fields,
@@ -232,14 +232,6 @@ def test_dense_kernel_is_the_formed_kernel():
     K = op.dense_kernel()
     assert K is op.kernel and not K.flags.writeable
     np.testing.assert_allclose(K, chain, rtol=1e-13, atol=0)
-
-
-def test_dense_kernel_guard():
-    spec = GridSpec((65, 65))  # 4225 > DENSE_GUARD
-    assert spec.num_vertices > DENSE_GUARD
-    op = assemble(spec, constant_weights(spec), 1e-2, 1)
-    with pytest.raises(ValueError):
-        op.dense_kernel()
 
 
 def test_mass_is_conserved_by_symmetry():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -276,14 +277,24 @@ def test_non_finite_log_weights_rejected():
                          ids=["exp-inf", "exp-zero", "M-overflows", "M-fails-to-factor"])
 def test_unassemblable_log_weights_give_an_infinite_value(big):
     """Finite log-weights whose weights cannot be assembled are a point the
-    objective has no value at: +inf, which a line search backs off from."""
+    objective has no value at: +inf, which a line search backs off from.
+    The regularizer parts are as computed, and nothing warns."""
     spec = GridSpec((3, 3))
     obj = Objective(spec, (small_sequence(spec, 3),), 1e-2, 2, 3)
     x = np.zeros(edge_count(spec))
     x[0] = big
-    value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
+        value2, grad2 = evaluate_with_grad(obj, x)
     assert value == np.inf and parts.data_fit == np.inf
     assert grad.shape == x.shape and np.isnan(grad).all()
+    assert value2 == value
+    np.testing.assert_equal(grad2, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(x)
+        np.testing.assert_equal(parts.reg_constant, reg_constant(w)[0])
+        np.testing.assert_equal(parts.reg_smooth, reg_smooth(spec, w)[0])
 
 
 def test_overflowing_regularizer_gives_an_infinite_value():
