@@ -30,12 +30,14 @@ frame: arrays indexed [sweep, input, frame, vertex], 8 L F N 2R bytes.  The
 backward pass replays the sweeps in reverse on the (R, F, N) arrays.  It
 rebuilds the targets b and the scalings u_r = a_r / (K v_r) and
 v_r = b / (K u_r) bit for bit from the tape and pulls each half-sweep back
-as one (R F, N) block, through the K u_r and then the K v_r: two
-vector-Jacobian products (``pull``) per sweep, which return the input
-adjoints K g and add the weight gradient to the caller's accumulator (see
-``otgrid.diffusion``).  The tape holds arrays only, no
-operator: the caller that asked the operator for the accumulator
-finalizes it, once for any number of backward passes.
+as one (R F, N) block, through the K u_r and then the K v_r, by
+vector-Jacobian products (``pull``) that return the input adjoints K g and
+add the weight gradient to the caller's accumulator (see
+``otgrid.diffusion``).  M has unit row sums, so sweep 0's K v_r = K 1 = 1
+is constant in the weights and has no pull: L sweeps make 2L - 1 pulls.
+The tape holds arrays only, no operator: the caller that asked the
+operator for the accumulator finalizes it, once for any number of
+backward passes.
 """
 
 from __future__ import annotations
@@ -55,11 +57,8 @@ class DegeneracyWarning(RuntimeWarning):
 
 
 def _guard(x, counter):
-    tiny = x < DIVIDE_FLOOR
-    if np.any(tiny):
-        counter[0] += int(tiny.sum())
-        return np.maximum(x, DIVIDE_FLOOR)
-    return x
+    counter[0] += int(np.count_nonzero(x < DIVIDE_FLOOR))
+    return np.maximum(x, DIVIDE_FLOOR)
 
 
 def check_distributions(x, name: str) -> np.ndarray:
@@ -195,9 +194,8 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     from the tape, and each sweep's v-target once, from its K u_r and the
     weights.  Each half-sweep is one ``pull`` on the (R F, N) block of all
     inputs and frames, which gives the input adjoints and adds the weight
-    gradient: two pulls per sweep, whatever R is.
-    The initial scalings v_r = 1 are constants, so their incoming gradient
-    is dropped.
+    gradient, whatever R is, except sweep 0's K v_r: its v_r = 1 are
+    constants, and so is K 1 = 1, so L sweeps make 2L - 1 pulls.
     """
     iters, r_count, frames, n = tape.kv.shape
     gbar = np.asarray(gbar, dtype=np.float64)
@@ -206,22 +204,19 @@ def barycenter_backward(tape: BarycenterTape, gbar, acc) -> None:
     gbar = gbar.reshape(frames, n)
     a, lam, kv, ku = tape.inputs[:, None], tape.lam.T[:, :, None], tape.kv, tape.ku
     rows = (r_count * frames, n)
-    gv = np.zeros((r_count, frames, n))
+    gv, gb = 0.0, gbar
     b = _target(tape.lam, ku[-1])
     for l in range(iters - 1, -1, -1):
-        gb = (gv / ku[l]).sum(axis=0) + (gbar if l == iters - 1 else 0.0)
         u = a / kv[l]
         v = b / ku[l]
         gq = lam * gb * b / ku[l] - gv * v / ku[l]
         gu = acc.pull(gq.reshape(rows), u.reshape(rows)).reshape(gq.shape)
-        gp = -gu * u / kv[l]
         if l:
-            # the previous sweep's target, carried into the next step
+            # the previous sweep's target and scalings, carried into the next step
             b = _target(tape.lam, ku[l - 1])
-            v_in = b / ku[l - 1]
-        else:
-            v_in = np.ones_like(gp)
-        gv = acc.pull(gp.reshape(rows), v_in.reshape(rows)).reshape(gp.shape)
+            gv = acc.pull((-gu * u / kv[l]).reshape(rows),
+                          (b / ku[l - 1]).reshape(rows)).reshape(gu.shape)
+            gb = (gv / ku[l - 1]).sum(axis=0)
 
 
 def sinkhorn_scalings(op: DiffusionOperator, a, b, iters: int, history: bool = False):

@@ -20,10 +20,17 @@ from otgrid.lbfgs import LbfgsOptions, minimize
 from otgrid.objective import Objective, Sequence, evaluate_with_grad, save_sequence
 from otgrid.synthetic import MetricPattern, Region, dirac, forward_sequence, gaussian, render_metric
 from otgrid.tensorio import write_tensor
+from recovery import axis_spearman, geodesic_scores, scale
 from sequences import moving_gaussian_sequence
 
 
 EVEN_SPACING_EPSILON = 0.1
+# Bounds on ac7's geodesic scores over the band the mass crosses (grid rows
+# 6-13): scale-free error at most 0.125 and Spearman at least 0.89.  The fit
+# measured 0.102 / 0.908; a change of its gradient at the rounding level,
+# which 200 iterations amplify, gave 0.107 / 0.909.  Each bound leaves
+# about 0.02 of margin, and unit weights score 0.149 / 0.875.
+BAND_ERROR_MAX, BAND_SPEARMAN_MIN = 0.125, 0.89
 
 
 def rel_err(approx, exact):
@@ -89,6 +96,23 @@ def desk_case():
     obj = Objective(grid=spec, sequences=(seq,), epsilon=1.2e-2, substeps=20,
                     sinkhorn_iters=30, loss="l2", lambda_c=0.0, lambda_s=0.03)
     return spec, w_true, seq, obj
+
+
+@pytest.fixture(scope="session")
+def desk_fit(desk_case):
+    """ac7's fit of the desk case: 200 L-BFGS iterations from unit weights.
+    Returns the result, the parts of every evaluation, and the seconds taken."""
+    spec, _, _, obj = desk_case
+    evals = []
+
+    def fun(x):
+        value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
+        evals.append(parts)
+        return value, grad
+
+    t0 = time.perf_counter()
+    res = minimize(fun, np.zeros(edge_count(spec)), LbfgsOptions(max_iters=200))
+    return res, evals, time.perf_counter() - t0
 
 
 # --- criteria ------------------------------------------------------------------
@@ -240,18 +264,9 @@ def test_ac6_interpolants_conserve_mass(spacing_study):
         assert abs(barycenter(op, ends, np.array([1.0 - t, t]), 20)[0].sum() - 1.0) < 1e-6
 
 
-def test_ac7_metric_recovery(desk_case):
+def test_ac7_metric_recovery(desk_case, desk_fit):
     spec, w_true, seq, obj = desk_case
-    evals = []
-
-    def fun(x):
-        value, grad, parts = evaluate_with_grad(obj, x, with_parts=True)
-        evals.append(parts)
-        return value, grad
-
-    t0 = time.perf_counter()
-    res = minimize(fun, np.zeros(edge_count(spec)), LbfgsOptions(max_iters=200))
-    elapsed = time.perf_counter() - t0
+    res, evals, elapsed = desk_fit
     assert elapsed < 1800.0
 
     data_fit_start = evals[0].data_fit  # first evaluation happens at x0
@@ -271,6 +286,27 @@ def test_ac7_metric_recovery(desk_case):
     med_in = np.median(field[inside])
     med_out = np.median(field[~inside])
     assert med_in < med_out, (med_in, med_out)
+
+
+def test_ac7_recovery_scores(desk_case, desk_fit):
+    """ac7's learned metric is scored against the true one over the band
+    the mass crosses, and must beat unit weights there and meet the stated
+    bounds.  The whole-grid scores, the scale and the per-axis log-weight
+    correlations are reported only: most pairs of the grid never cross the
+    obstacle, so unit weights score a median error of 0 there."""
+    spec, w_true, _, _ = desk_case
+    w, unit = np.exp(desk_fit[0].x), constant_weights(spec)
+    band = np.arange(6 * spec.dims[1], 14 * spec.dims[1])
+    learned, baseline = (geodesic_scores(spec, x, w_true, band) for x in (w, unit))
+    whole = np.arange(spec.num_vertices)
+    print("scale: learned %.3f, truth %.3f" % (scale(w), scale(w_true)))
+    print("band: learned %s, unit weights %s" % (learned, baseline))
+    print("whole grid: learned %s, unit weights %s"
+          % tuple(geodesic_scores(spec, x, w_true, whole) for x in (w, unit)))
+    print("log-weight Spearman per axis: %s" % axis_spearman(spec, w, w_true))
+    assert learned.error < baseline.error and learned.spearman > baseline.spearman
+    assert learned.error <= BAND_ERROR_MAX, learned
+    assert learned.spearman >= BAND_SPEARMAN_MIN, learned
 
 
 def test_ac8_multi_sequence_objective(desk_case):

@@ -324,11 +324,12 @@ def test_backward_three_inputs():
 
 
 def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
-    """Each of the 2R kernel applications of a sweep is pulled back by two
-    chains of S solves: one rebuilds its solve states, which the tape does
-    not keep, and one yields both its input and its weight adjoint.  A
-    half-sweep's R applications are pulled back as one block, so the
-    chains of a sweep are 2 x 2 S solve calls of R columns each."""
+    """Each pulled kernel application is pulled back by two chains of S
+    solves: one rebuilds its solve states, which the tape does not keep,
+    and one yields both its input and its weight adjoint.  A half-sweep's R
+    applications are pulled back as one block, and sweep 0's K 1 is not
+    pulled, so the chains of L sweeps are (2L - 1) x 2 S solve calls of R
+    columns each."""
     monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)  # the solve path
     spec = GridSpec((4, 3))
     iters, substeps = 3, 4
@@ -348,7 +349,29 @@ def test_backward_runs_two_solve_chains_per_kernel_application(monkeypatch):
     op.solve = counted
     barycenter_backward(tape, np.ones(spec.num_vertices), acc)
     acc.finalize()
-    assert solves == [iters * 2 * 2 * substeps, iters * r_count * 2 * 2 * substeps]
+    pulls = 2 * iters - 1
+    assert solves == [pulls * 2 * substeps, pulls * r_count * 2 * substeps]
+
+
+@pytest.mark.parametrize("dims", [(20, 20), (6, 5, 4)], ids=["dense", "solves"])
+def test_pull_of_the_constant_one_has_no_weight_gradient(monkeypatch, dims):
+    """M has unit row sums, so K 1 = 1 at every weight vector, and a pull
+    through the application of K to all-ones rows adds no weight gradient,
+    up to rounding.  ``barycenter_backward`` drops sweep 0's pull through
+    K v_r, whose v_r = 1, on this ground."""
+    if dims != (20, 20):
+        monkeypatch.setattr(otgrid.diffusion, "DENSE_MAX", 0)
+    spec = GridSpec(dims)
+    rng = np.random.default_rng(15)
+    op = assemble(spec, np.exp(rng.normal(0.0, 0.3, edge_count(spec))), 1.2e-2, 8)
+    g, x = rng.normal(size=(2, 3, spec.num_vertices))
+    grads = []
+    for rows in (np.ones_like(x), x):
+        acc = op.gradient_accumulator()
+        acc.pull(g, rows)
+        grads.append(acc.finalize())
+    assert (op.kernel is not None) == (dims == (20, 20))
+    assert np.abs(grads[0]).max() <= 1e-12 * np.abs(grads[1]).max()
 
 
 def test_backward_requires_matching_operator(monkeypatch):

@@ -102,11 +102,11 @@ def test_objective_matches_per_frame_loop(spec, kind, frames):
 @pytest.mark.parametrize("frames", [2, 3, 7])
 def test_objective_work_counts(monkeypatch, frames):
     """On the solve path, one evaluation of a P-frame sequence makes one
-    barycenter call on its P - 2 interior rows and 2 ITERS + 1 pulls, the
-    last one of the (2, N) endpoint block; a two-frame sequence makes no
-    barycenter call and one pull.  The forward pass solves
-    S (2R ITERS (P - 2) + 2) columns, against S 2R ITERS P with every frame
-    in the sweeps."""
+    barycenter call on its P - 2 interior rows and 2 ITERS pulls: 2 ITERS - 1
+    in its backward pass and the last one of the (2, N) endpoint block; a
+    two-frame sequence makes no barycenter call and one pull.  The forward
+    pass solves S (2R ITERS (P - 2) + 2) columns, against S 2R ITERS P with
+    every frame in the sweeps."""
     monkeypatch.setattr(diffusion, "DENSE_MAX", 0)
     spec = GridSpec(GRIDS[1])
     obj = Objective(spec, (blob_sequence(spec, frames),), EPSILON, SUBSTEPS, ITERS,
@@ -137,7 +137,7 @@ def test_objective_work_counts(monkeypatch, frames):
     evaluate_with_grad(obj, np.zeros(edge_count(spec)))
     interior, r_count = frames - 2, 2
     assert weight_shapes == ([(interior, r_count)] if interior else [])
-    assert len(pulls) == (2 * ITERS + 1 if interior else 1)
+    assert len(pulls) == (2 * ITERS if interior else 1)
     assert pulls[-1] == (2, spec.num_vertices)
     assert forward_columns[0] == SUBSTEPS * (2 * r_count * ITERS * interior + 2)
 
@@ -195,8 +195,9 @@ def per_input_backward(tape, gbar, acc):
 @pytest.mark.parametrize("r_count", [2, 3])
 def test_stacked_backward_matches_per_input_pulls(spec, r_count, frames):
     """The weight gradient of one pull per half-sweep, on the block of all
-    inputs and frames, is the per-input one; a backward pass makes two
-    pulls per sweep, whatever R is."""
+    inputs and frames, is the per-input one; a backward pass makes
+    2 ITERS - 1 pulls, whatever R is, none of them of all-ones inputs, and
+    the reference 2 ITERS R."""
     op = operator(spec)
     rng = np.random.default_rng(8)
     h = rng.uniform(0.05, 1.0, (r_count, spec.num_vertices))
@@ -207,12 +208,12 @@ def test_stacked_backward_matches_per_input_pulls(spec, r_count, frames):
     for backward in (barycenter_backward, per_input_backward):
         acc = op.gradient_accumulator()
         shapes, pull = [], acc.pull
-        acc.pull = lambda g, x: shapes.append(g.shape) or pull(g, x)
+        acc.pull = lambda g, x: shapes.append(g.shape if (x != 1).any() else "ones") or pull(g, x)
         backward(tape, gbar, acc)
         grads.append(acc.finalize())
         pulls.append(shapes)
     assert rel_diff(*grads) <= RTOL
-    assert pulls[0] == [(r_count * frames, spec.num_vertices)] * 2 * ITERS
+    assert pulls[0] == [(r_count * frames, spec.num_vertices)] * (2 * ITERS - 1)
     assert len(pulls[1]) == 2 * ITERS * r_count
 
 
