@@ -170,7 +170,7 @@ def cmd_transfer(args) -> int:
     tmap = colorlib.fill_nearest(tmap, defined)
     out = colorlib.apply_color_map(src, tmap, n)
     if args.bilateral:
-        out = colorlib.bilateral_smooth(out, guide=src)
+        out = colorlib.bilateral_smooth(out, src)
     colorlib.write_ppm(args.out, out)
     print("transfer: wrote %s (%dx%d)" % (args.out, out.shape[1], out.shape[0]))
     return 0
@@ -191,7 +191,8 @@ def cmd_export(args) -> int:
 def cmd_info(args) -> int:
     t = tensorio.read_tensor(args.input)
     print("dims: %s" % (" x ".join(str(n) for n in t.shape)))
-    print("sum: %.17g" % t.sum())
+    with np.errstate(over="ignore"):  # finite entries may sum past float64: print inf
+        print("sum: %.17g" % t.sum())
     print("min: %.17g" % t.min())
     print("max: %.17g" % t.max())
     return 0

@@ -27,6 +27,7 @@ from .barycenter import DIVIDE_FLOOR, check_distributions, sinkhorn_scalings
 
 _FILL_BLOCK = 1 << 18  # int32 entries (1 MB) of one (undefined, defined bins) distance block
 _MAP_CHUNK = 1 << 13  # pixels interpolated at a time
+_SPATIAL_SIGMA, _RANGE_SIGMA = 3.0, 0.1  # bilateral_smooth's σs in pixels, σr in [0, 1] color
 
 
 class PpmFormatError(Exception):
@@ -254,26 +255,18 @@ def _planes(img) -> np.ndarray:
     return planes
 
 
-def bilateral_smooth(img, spatial_sigma: float = 3.0, range_sigma: float = 0.1,
-                     guide=None) -> np.ndarray:
+def bilateral_smooth(img, guide) -> np.ndarray:
     """Edge-preserving smoothing of an (h, w, C) image; range weights from ``guide``.
 
     Guiding by the pre-transfer image suppresses quantization banding that
     the color map introduces, without blurring across the original edges.
     """
-    spatial_sigma, range_sigma = float(spatial_sigma), float(range_sigma)
-    if not (0 < spatial_sigma < math.inf and 0 < range_sigma < math.inf):
-        raise ValueError("sigmas must be finite and > 0")  # NaN fails here too
-    img = np.asarray(img)
+    img, guide = np.asarray(img), np.asarray(guide)
     if img.ndim != 3:
         raise ValueError("image must be (h, w, C), got shape %r" % (img.shape,))
-    if guide is not None:
-        guide = np.asarray(guide)
-        if guide.shape != img.shape:
-            raise ValueError("guide image must match the input size")
-    planes = _planes(img)
-    out = _bilateral_float(planes, spatial_sigma, range_sigma,
-                           planes if guide is None else _planes(guide))
+    if guide.shape != img.shape:
+        raise ValueError("guide image must match the input size")
+    out = _bilateral_float(_planes(img), _SPATIAL_SIGMA, _RANGE_SIGMA, _planes(guide))
     out *= 255.0
     np.rint(out, out=out)
     np.clip(out, 0, 255, out=out)

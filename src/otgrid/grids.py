@@ -104,10 +104,7 @@ def edge_vertices(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def check_weights(spec: GridSpec, w) -> np.ndarray:
     """``w`` as float64; ValueError unless it has one positive entry per edge."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (edge_count(spec),):
-        raise ValueError(
-            "weight vector has length %d, expected %d" % (w.size, edge_count(spec))
-        )
+    axis_fields(spec, w)  # one entry per edge
     if not np.all(w > 0):  # NaN fails here too
         raise ValueError("edge weights must be strictly positive")
     return w

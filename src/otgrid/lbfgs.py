@@ -108,7 +108,6 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
 
     for it in range(1, opts.max_iters + 1):
         if np.abs(g).max() <= opts.grad_tol:
-            status = STATUS_CONVERGED
             break
 
         # two-loop recursion, newest pair first
@@ -166,8 +165,8 @@ def minimize(f, x0, opts: LbfgsOptions | None = None, callback=None) -> Minimize
         history.append(record)
         if callback is not None:
             callback(record, x)
-    else:
-        if np.abs(g).max() <= opts.grad_tol:
-            status = STATUS_CONVERGED
 
+    # a failed line search leaves g as the top check saw it, above grad_tol
+    if np.abs(g).max() <= opts.grad_tol:
+        status = STATUS_CONVERGED
     return MinimizeResult(x=x, value=float(fx), status=status, history=history)

@@ -273,11 +273,7 @@ def export_pgm(t, path) -> None:
 def export_csv(t, path) -> None:
     """Write a tensor as CSV, one row per leading index, 17 significant digits."""
     arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 1:
-        rows = arr.reshape(-1, 1)
-    else:
-        rows = arr.reshape(arr.shape[0], -1)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
+        for row in arr.reshape(arr.shape[0], -1):
             fh.write(",".join("%.17g" % x for x in row))
             fh.write("\n")

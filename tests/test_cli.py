@@ -475,6 +475,14 @@ def test_learn_passes_config_lbfgs_settings_to_minimize(workspace, monkeypatch):
             assert getattr(got, key) == value, key
 
 
+def test_info_sum_past_float64_prints_inf(tmp_path, capsys):
+    # finite entries whose sum overflows: no RuntimeWarning, the sum reads inf
+    p = tmp_path / "big.gmlt"
+    write_tensor(p, np.full(4, 1e308))
+    assert run(["info", "--input", p]) == 0
+    assert "sum: inf\n" in capsys.readouterr().out
+
+
 def test_corrupt_tensor_is_format_error(tmp_path):
     p = tmp_path / "bad.gmlt"
     p.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,22 @@ def test_line_search_failure_status():
         return 1e30 * float(x @ x), 2e30 * x
 
     res = minimize(cliff, np.array([1.0]))
-    assert res.status == STATUS_LINE_SEARCH_FAILED
+    assert (res.status, res.history) == (STATUS_LINE_SEARCH_FAILED, [])
+
+
+def test_convergence_on_the_last_allowed_iteration():
+    # the gradient first meets grad_tol after iteration k; each budget
+    # around k ends at its own exit: the top check, the check after the
+    # last iteration, or the budget
+    x0, opts = np.array([-1.2, 1.0]), LbfgsOptions(max_iters=200, grad_tol=1e-9)
+    full = minimize(rosenbrock, x0, opts)
+    k = len(full.history)
+    assert full.history[-1].grad_inf <= opts.grad_tol < full.history[-2].grad_inf
+    for budget, status in ((k + 1, STATUS_CONVERGED), (k, STATUS_CONVERGED),
+                           (k - 1, STATUS_MAX_ITERS)):
+        res = minimize(rosenbrock, x0, replace(opts, max_iters=budget))
+        assert (res.status, len(res.history)) == (status, min(k, budget)), budget
+        assert res.value == full.history[len(res.history) - 1].value, budget
 
 
 def test_non_finite_objective_raises():

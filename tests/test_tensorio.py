@@ -274,6 +274,14 @@ def test_csv_pinned_example(tmp_path):
     assert p.read_text() == "0,1\n2,3\n"
 
 
+def test_csv_rows_of_a_vector_and_a_3d_tensor(tmp_path):
+    p = tmp_path / "x.csv"
+    export_csv(np.arange(3.0), p)
+    assert p.read_text() == "0\n1\n2\n"
+    export_csv(np.arange(8.0).reshape(2, 2, 2), p)
+    assert p.read_text() == "0,1,2,3\n4,5,6,7\n"
+
+
 def test_csv_full_precision(tmp_path):
     p = tmp_path / "x.csv"
     val = 1.0 / 3.0
