@@ -280,9 +280,7 @@ class DiffusionOperator:
             x = self.solve(x)
         return x.T
 
-    def adjoint_input(self, g: np.ndarray) -> np.ndarray:
-        """Pull a gradient back through the kernel; K is symmetric, so K g."""
-        return self.apply(g)
+    adjoint_input = apply  # pulls a gradient back through K: K is symmetric
 
     def adjoint_weights(self, x, g):
         """Both vector-Jacobian products of <g, K x> from two solve chains.
@@ -318,7 +316,8 @@ class DiffusionOperator:
         that application's weight gradient; ``finalize()``, called once,
         returns the summed per-edge gradient.  The first call forms the
         dense K where the operator allows one, so applications after it,
-        the forward passes to be differentiated included, use it.
+        the forward passes to be differentiated included, use it.  The
+        accumulator's ``op`` is this operator; the dense ``finalize`` drops it.
         """
         if self._kernel_pending:
             self._kernel_pending = False
@@ -345,14 +344,14 @@ class DiffusionOperator:
 
 class _ChainGradient:
     """Solve path: per application, one S-solve chain rebuilds the states of
-    x and one more pulls g back; their dw are summed."""
+    x and one more pulls g back; their dw are summed.  ``op`` is kept."""
 
     def __init__(self, op: DiffusionOperator):
-        self._op = op
+        self.op = op
         self._dw = np.zeros(edge_count(op.spec))
 
     def pull(self, g, x):
-        kg, dw = self._op.adjoint_weights(x, g)
+        kg, dw = self.op.adjoint_weights(x, g)
         self._dw += dw
         return kg
 
@@ -362,19 +361,19 @@ class _ChainGradient:
 
 class _DenseGradient:
     """Dense path: each pull adds its g^T x into A = sum g x^T in place, and
-    G(A) is formed once in ``finalize``."""
+    G(A) is formed once in ``finalize``, which sets ``op`` to None."""
 
     def __init__(self, op: DiffusionOperator):
         n = op.num_vertices
-        self._op = op
+        self.op = op
         self._a = np.zeros((n, n))
 
     def pull(self, g, x):
-        kg = self._op.apply(g)
+        kg = self.op.apply(g)
         g, x = np.asarray(g, dtype=np.float64), np.asarray(x, dtype=np.float64)
         if x.shape != g.shape:
             raise ValueError("input %r and gradient %r differ in shape" % (x.shape, g.shape))
-        x = _kernel_input(x, self._op.num_vertices)  # finite, as on the solve path
+        x = _kernel_input(x, self.op.num_vertices)  # finite, as on the solve path
         # A^T += x^T g, written through A.T, the Fortran view of A: dgemm
         # adds into c in place only when c is Fortran-contiguous (else it
         # returns a copy), and x.T and g.T are Fortran views of the rows
@@ -384,7 +383,7 @@ class _DenseGradient:
     def finalize(self) -> np.ndarray:
         # drop the operator, so that K is freed before the products unless
         # a caller still holds it
-        op, self._op = self._op, None
+        op, self.op = self.op, None
         x, spec, coeff, substeps, i, j = op._minv, op.spec, op._coeff, op.substeps, op._i, op._j
         del op
         # T(m) by doubling over the bits of S (module docstring), from

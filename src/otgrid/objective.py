@@ -145,13 +145,15 @@ def reg_smooth(spec: GridSpec, w):
 # --- full objective ---------------------------------------------------------
 
 
-def _sequence_term(op, iters: int, seq: Sequence, kind: str, grad_acc) -> float:
+def _sequence_term(acc, iters: int, seq: Sequence, kind: str) -> float:
     """Data fit of one sequence: every frame against the barycenter of the
-    endpoints at its timestamp.  The endpoint frames are K a in closed form,
+    endpoints at its timestamp, on the operator ``acc.op``, with the weight
+    gradient added into ``acc``.  The endpoint frames are K a in closed form,
     one application of the (2, N) endpoint block, clamped at the divide
     floor as the sweeps clamp K u_r, and pulled back as one block; the
     interior frames are one recorded barycenter call with rows
     (1 - t_i, t_i).  A two-frame sequence makes no barycenter call."""
+    op = acc.op
     t, ends = seq.timestamps[1:-1], seq.frames[[0, -1]]
     clamps = [0]
     recon = np.empty_like(seq.frames)
@@ -169,17 +171,17 @@ def _sequence_term(op, iters: int, seq: Sequence, kind: str, grad_acc) -> float:
         val, gbar[i] = loss(kind, recon[i], seq.frames[i])
         sub_val += val
     if tape is not None:
-        barycenter_backward(tape, gbar[1:-1], grad_acc)
-    grad_acc.pull(gbar[[0, -1]], ends)
+        barycenter_backward(tape, gbar[1:-1], acc)
+    acc.pull(gbar[[0, -1]], ends)
     return sub_val
 
 
 def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool = False):
     """Objective value and gradient with respect to log-weights.
 
-    One operator is assembled and factorized per evaluation and shared by
-    every sequence, and so is one weight-gradient accumulator; frame values
-    are reduced in the fixed documented order.  ``threads`` is
+    One operator is assembled and factorized per evaluation, and every
+    sequence reaches it through one weight-gradient accumulator, ``acc.op``;
+    frame values are reduced in the fixed documented order.  ``threads`` is
     accepted for compatibility and has no effect.
 
     The value is +inf, with a NaN gradient, wherever the total or gradient
@@ -195,18 +197,15 @@ def evaluate_with_grad(obj: Objective, wlog, threads: int = 1, with_parts: bool 
         w = np.exp(wlog)
     data_fit, dw_data = np.inf, np.full_like(wlog, np.nan)
     try:
-        op = assemble(obj.grid, w, obj.epsilon, obj.substeps) if w.min() > 0 else None
+        acc = (assemble(obj.grid, w, obj.epsilon, obj.substeps).gradient_accumulator()
+               if w.min() > 0 else None)
     except AssemblyError:
-        op = None
-    if op is not None:
-        # requested before the sequences, so that their forward passes run
-        # on the dense K where the accumulator forms one
-        grad_acc = op.gradient_accumulator()
+        acc = None
+    if acc is not None:
         data_fit = 0.0
         for seq in obj.sequences:
-            data_fit += _sequence_term(op, obj.sinkhorn_iters, seq, obj.loss, grad_acc)
-        del op  # lets finalize free a dense K before its recursion
-        dw_data = grad_acc.finalize()
+            data_fit += _sequence_term(acc, obj.sinkhorn_iters, seq, obj.loss)
+        dw_data = acc.finalize()
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is caught below
         fc, fc_grad = reg_constant(w)

@@ -274,6 +274,4 @@ def export_csv(t, path) -> None:
     """Write a tensor as CSV, one row per leading index, 17 significant digits."""
     arr = np.asarray(t, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in arr.reshape(arr.shape[0], -1):
-            fh.write(",".join("%.17g" % x for x in row))
-            fh.write("\n")
+        np.savetxt(fh, arr.reshape(arr.shape[0], -1), fmt="%.17g", delimiter=",")

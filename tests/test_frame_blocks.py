@@ -168,6 +168,35 @@ def test_endpoint_clamps_keep_kl_finite_and_warn(dims, frames):
     assert rel_diff(grad, grad_ref) <= RTOL
 
 
+@pytest.mark.parametrize("kind", ["l2", "kl"])
+@pytest.mark.parametrize("dims", GRIDS, ids=grid_id)
+def test_clamped_gradient_matches_central_differences(dims, kind):
+    """Where both the sweeps and the endpoint frames clamp, the gradient
+    still matches central differences of the value along three random unit
+    directions: a clamped entry is constant, in the value as in the tape."""
+    spec = GridSpec(dims)
+    h = corner_diracs(spec)
+    seq = Sequence(np.stack([h[0], h.mean(axis=0), h[1]]), np.linspace(0.0, 1.0, 3))
+    obj = Objective(spec, (seq,), CLAMP_EPSILON[dims], 1, 3, loss=kind, lambda_s=0.0)
+    rng = np.random.default_rng(12)
+    wlog = rng.normal(0.0, 0.3, edge_count(spec))
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        _, grad = evaluate_with_grad(obj, wlog)
+    messages = [str(x.message) for x in rec if issubclass(x.category, DegeneracyWarning)]
+    assert any(m.startswith("Sinkhorn sweeps clamped") for m in messages)
+    assert any(m.startswith("endpoint reconstruction clamped") for m in messages)
+    step = 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        for _ in range(3):
+            u = rng.normal(size=wlog.shape)
+            u /= np.linalg.norm(u)
+            fd = (evaluate_with_grad(obj, wlog + step * u)[0]
+                  - evaluate_with_grad(obj, wlog - step * u)[0]) / (2 * step)
+            assert abs(grad @ u - fd) <= 1e-5 * abs(fd)
+
+
 def per_input_backward(tape, gbar, acc):
     """The backward pass with one pull per input and half-sweep, 2R pulls
     per sweep: the reference for the stacked one."""

@@ -283,10 +283,13 @@ def test_csv_rows_of_a_vector_and_a_3d_tensor(tmp_path):
 
 
 def test_csv_full_precision(tmp_path):
+    """17 significant digits read every value back bit for bit, subnormals,
+    extremes and the sign of zero included."""
     p = tmp_path / "x.csv"
-    val = 1.0 / 3.0
-    export_csv(np.array([val]), p)
-    assert float(p.read_text().strip()) == val
+    vals = np.array([[1.0 / 3.0, 0.1, 1e-300], [-2.5e300, 5e-324, -0.0]])
+    export_csv(vals, p)
+    back = np.array([[float(x) for x in line.split(",")] for line in p.read_text().splitlines()])
+    assert back.tobytes() == vals.tobytes()
 
 
 def test_pgm_header_and_range(tmp_path):
